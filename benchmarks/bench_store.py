@@ -10,8 +10,10 @@ alone.  Both sides must return identical exact probabilities before timing
 starts, and the warm side must report zero lineage/OBDD compilations (the
 hit really came from disk, not from a silently retained cache).
 
-The workload is ``CompilationEngine.probability`` with ``method="columnar"``
-on the two instance families the store serves in practice: ``line`` (RST
+The workload is the exact probability of the engine's columnar artifact,
+``CompilationEngine.columnar(query, instance).probability(valuation)`` — the
+artifact the store persists — on the two instance families the store serves
+in practice: ``line`` (RST
 chains — long linear OBDD compilations) and ``ktree`` (labelled partial
 k-trees, width 2 — denser circuit routes).  Each case is repeated
 ``REPETITIONS`` times and each side keeps its per-case minimum (interference
@@ -85,11 +87,15 @@ def _gc_paused():
             gc.enable()
 
 
+def _columnar_probability(engine, query, tid) -> Fraction:
+    return engine.columnar(query, tid.instance).probability(tid.valuation())
+
+
 def _time_cold(query, tid, root: Path) -> float:
     """Compile on a fresh engine against an empty store (write-behind paid)."""
     engine = CompilationEngine(store=root)
     start = time.perf_counter()
-    engine.probability(query, tid, method="columnar")
+    _columnar_probability(engine, query, tid)
     elapsed = time.perf_counter() - start
     engine.store.close()
     return elapsed
@@ -99,7 +105,7 @@ def _time_warm(query, tid, root: Path) -> float:
     """Answer on a brand-new engine from the populated store alone."""
     engine = CompilationEngine(store=root)
     start = time.perf_counter()
-    engine.probability(query, tid, method="columnar")
+    _columnar_probability(engine, query, tid)
     elapsed = time.perf_counter() - start
     assert engine.stats["store"].hits >= 1, "warm run missed the store"
     assert engine.stats["lineage"].misses == 0, "warm run recompiled lineage"
@@ -130,14 +136,10 @@ def _check_agreement(cases, scratch: Path):
     reference_engine = CompilationEngine()
     root = scratch / "agreement"
     for index, (_, _, query, tid) in enumerate(cases):
-        reference = reference_engine.probability(query, tid, method="columnar")
+        reference = reference_engine.probability(query, tid, method="obdd")
         case_root = root / str(index)
-        cold = CompilationEngine(store=case_root).probability(
-            query, tid, method="columnar"
-        )
-        warm = CompilationEngine(store=case_root).probability(
-            query, tid, method="columnar"
-        )
+        cold = _columnar_probability(CompilationEngine(store=case_root), query, tid)
+        warm = _columnar_probability(CompilationEngine(store=case_root), query, tid)
         assert cold == reference and warm == reference, (
             f"store round trip diverged: cold={cold} warm={warm} vs {reference}"
         )

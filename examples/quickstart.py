@@ -57,8 +57,10 @@ def main() -> None:
 
     # Probabilities: each fact is present independently with probability 1/2.
     tid = ProbabilisticInstance.uniform(instance, Fraction(1, 2))
-    for method in ("obdd", "dnnf", "automaton", "auto"):
-        print(f"P(query) via {method:>9}: {probability(query, tid, method=method)}")
+    for method in ("obdd", "automaton", "auto"):
+        print(f"P(query) via {method:>11}: {probability(query, tid, method=method)}")
+    dnnf_valuation = {fact: tid.probability_of(fact) for fact in dnnf.variables()}
+    print(f"P(query) via      d-DNNF: {dnnf.probability(dnnf_valuation)}")
     print(f"P(query) via brute force: {brute_force_probability(query, tid)}")
 
 

@@ -208,8 +208,6 @@ def _command_probability(arguments: argparse.Namespace) -> int:
             f" (degraded: {value.method}, estimate {value.estimate:.6f},"
             f" {value.samples} samples)"
         )
-    elif arguments.method in ("obdd_float", "columnar_float"):
-        print(f"probability: {value:.6f} (float fast path)")
     else:
         print(f"probability: {value} (= {float(value):.6f})")
     return 0
@@ -372,8 +370,12 @@ def _command_store(arguments: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser for the ``repro`` command."""
-    from repro.probability.evaluation import METHOD_NAMES
+    from repro.engine.router import METHOD_NAMES
 
+    method_help = (
+        f"evaluation route: one of {', '.join(METHOD_NAMES)} (default auto);"
+        " any other name is an error that lists these"
+    )
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Tractable lineages on treelike instances: CLI front-end",
@@ -404,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     prob = subparsers.add_parser("probability", help="probability of a UCQ≠ on a TID file")
     _add_instance_argument(prob)
     prob.add_argument("--query", required=True, help="UCQ≠ in textual syntax")
-    prob.add_argument("--method", default="auto", choices=list(METHOD_NAMES))
+    prob.add_argument("--method", default="auto", metavar="METHOD", help=method_help)
     prob.add_argument(
         "--explain",
         action="store_true",
@@ -460,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="UCQ≠ in textual syntax (repeatable; all queries share one compilation session)",
     )
-    batch.add_argument("--method", default="auto", choices=list(METHOD_NAMES))
+    batch.add_argument("--method", default="auto", metavar="METHOD", help=method_help)
     batch.add_argument(
         "--stats", action="store_true", help="also print the engine's cache hit/miss statistics"
     )

@@ -43,13 +43,15 @@ these entry points.
 Dichotomy routing
 -----------------
 ``probability(..., method="auto")`` consults the dichotomy router
-(:meth:`CompilationEngine.choose_route`): if the query admits a lifted plan
-(cached, instance-independent — :meth:`CompilationEngine.lifted_plan`), the
-safe-plan route competes on measured cost with the circuit routes (OBDD,
-columnar, d-DNNF, automaton); past ``circuit_fact_limit`` facts the circuit
-routes are gated infeasible (unless already compiled) and safe queries run
-on the lifted plan alone.  Chosen routes are counted in
-:meth:`CompilationEngine.route_mix` and surfaced by the CLI.
+(:meth:`CompilationEngine.choose_route`) over the routes of
+:data:`~repro.engine.router.ROUTES`, one per regime: if the query admits a
+lifted plan (cached, instance-independent —
+:meth:`CompilationEngine.lifted_plan`), the safe-plan route competes on
+measured cost with the circuit routes (OBDD and tree automaton); past
+``circuit_fact_limit`` facts the circuit routes are gated infeasible
+(unless already compiled) and safe queries run on the lifted plan alone.
+Chosen routes are counted in :meth:`CompilationEngine.route_mix` and
+surfaced by the CLI.
 
 Parallelism
 -----------
@@ -73,17 +75,16 @@ reclaims segments orphaned by crashed workers), and only the tiny
 
 Resilience
 ----------
-:mod:`repro.engine.resilience` adds deadline/budget-aware execution:
-a :class:`~repro.resilience.ResourceBudget` (node/row caps plus a
+A :class:`~repro.resilience.ResourceBudget` (node/row caps plus a
 wall-clock :class:`~repro.resilience.Deadline`) threads through
 ``probability(..., budget=...)`` into the kernels' cooperative
 checkpoints; ``method="auto"`` fails over along
-:data:`~repro.engine.resilience.FAILOVER_ORDER` on blowouts, recording
-failures as cost-model penalties; an engine constructed with
+:data:`~repro.engine.router.ROUTES` on blowouts, recording failures as
+cost-model penalties; an engine constructed with
 ``degradation="karp_luby"`` returns labelled
-:class:`~repro.engine.resilience.ProbabilityBounds` when every exact
-route fails.  :class:`ParallelEngine` detects crashed workers, respawns
-them, and retries only the affected shards.
+:class:`~repro.resilience.ProbabilityBounds` when every exact route
+fails.  :class:`ParallelEngine` detects crashed workers, respawns them,
+and retries only the affected shards.
 """
 
 from repro.engine.parallel import (
@@ -92,18 +93,11 @@ from repro.engine.parallel import (
     available_workers,
     shard_workload,
 )
-from repro.engine.resilience import (
-    DEGRADED_ROUTE,
-    FAILOVER_ORDER,
-    Deadline,
-    ProbabilityBounds,
-    ResourceBudget,
-    degraded_probability_bounds,
-)
 from repro.engine.router import (
     CIRCUIT_ROUTES,
     DEFAULT_COST_PRIORS,
-    ROUTE_PREFERENCE,
+    METHOD_NAMES,
+    ROUTES,
     RouteAttempt,
     RouteCostModel,
     RouteDecision,
@@ -115,6 +109,13 @@ from repro.engine.session import (
     merge_cache_stats,
 )
 from repro.engine.shm import SegmentHandle, SegmentPlane, attach_segment, publish_segment
+from repro.resilience import (
+    DEGRADED_ROUTE,
+    Deadline,
+    ProbabilityBounds,
+    ResourceBudget,
+    degraded_probability_bounds,
+)
 
 __all__ = [
     "CIRCUIT_ROUTES",
@@ -123,11 +124,11 @@ __all__ = [
     "DEFAULT_COST_PRIORS",
     "DEGRADED_ROUTE",
     "Deadline",
-    "FAILOVER_ORDER",
+    "METHOD_NAMES",
     "ParallelEngine",
     "ParallelReport",
     "ProbabilityBounds",
-    "ROUTE_PREFERENCE",
+    "ROUTES",
     "ResourceBudget",
     "RouteAttempt",
     "RouteCostModel",

@@ -78,6 +78,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.booleans.columnar import ColumnarOBDD
 from repro.data.instance import Instance
 from repro.data.tid import ProbabilisticInstance
+from repro.engine.router import check_method
 from repro.engine.session import (
     CacheStats,
     CompilationEngine,
@@ -816,6 +817,7 @@ class ParallelEngine:
         self, pairs: Sequence[ProbabilityItem], method: str = "auto"
     ) -> ParallelReport:
         """Evaluate a workload of ``(query, tid)`` pairs; full report."""
+        check_method(method)
         return self._run(pairs, _run_probability_shard, method)
 
     def probability_many(

@@ -4,7 +4,8 @@ The paper's two tractability routes — query-based lifted inference and
 instance-based circuit compilation — meet in
 :meth:`repro.engine.CompilationEngine.choose_route`: given a query and a
 TID instance, pick the evaluation method for ``method="auto"``.  This
-module holds the passive data behind that choice:
+module is the one place that names the routes (:data:`ROUTES`,
+:data:`METHOD_NAMES`) and holds the passive data behind that choice:
 
 * :class:`RouteDecision` — the chosen method plus everything that went
   into it (liftability, instance size, per-route cost estimates, which
@@ -23,29 +24,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: The circuit-building routes the router arbitrates against the lifted
-#: plan: all exact, all requiring lineage enumeration over the instance.
-CIRCUIT_ROUTES: tuple[str, ...] = ("obdd", "columnar", "dnnf", "automaton")
+from repro.errors import ProbabilityError
 
-#: Tie-break preference when estimates are equal (cheapest artifact first).
-ROUTE_PREFERENCE: dict[str, int] = {
-    "safe_plan": 0,
-    "obdd": 1,
-    "columnar": 2,
-    "dnnf": 3,
-    "automaton": 4,
-}
+#: Every evaluation route, one per regime: the lifted plan for safe queries
+#: (Section 9), then the two instance-side routes of Theorem 4.2 — lineage
+#: compiled to an OBDD, and the tree-automaton dynamic program.  The order
+#: is both the router's tie-break preference and the failover chain of
+#: ``method="auto"``.
+ROUTES: tuple[str, ...] = ("safe_plan", "obdd", "automaton")
+
+#: The circuit-building routes the router arbitrates against the lifted
+#: plan: both exact, both requiring work over the whole instance.
+CIRCUIT_ROUTES: tuple[str, ...] = ("obdd", "automaton")
+
+#: Every accepted ``method=`` string: ``auto`` (routing and failover) plus
+#: one name per route (the CLI ``--method`` choices).
+METHOD_NAMES: tuple[str, ...] = ("auto",) + ROUTES
 
 #: Prior cost rates in seconds per fact, from the benchmark suite's orders
 #: of magnitude: a lifted plan streams the hash indexes once; the circuit
-#: routes enumerate lineage matches and build node graphs on top.
+#: routes enumerate lineage matches or automaton states on top.
 DEFAULT_COST_PRIORS: dict[str, float] = {
     "safe_plan": 5e-6,
     "obdd": 2e-4,
-    "columnar": 2e-4,
-    "dnnf": 3e-4,
     "automaton": 5e-4,
 }
+
+
+def check_method(method: str) -> None:
+    """Reject a ``method=`` string that names no route."""
+    if method not in METHOD_NAMES:
+        raise ProbabilityError(
+            f"unknown probability method {method!r}; use one of {', '.join(METHOD_NAMES)}"
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,30 +17,20 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from repro.booleans.columnar import ColumnarOBDD
-from repro.booleans.dnnf import DNNF
 from repro.data.gaifman import gaifman_graph
 from repro.data.instance import Fact, Instance
 from repro.data.tid import ProbabilisticInstance
-from repro.engine.resilience import (
-    DEGRADED_ROUTE,
-    FAILOVER_ORDER,
-    ProbabilityBounds,
-    ResourceBudget,
-    activate,
-    active_budget,
-    degraded_probability_bounds,
-)
 from repro.engine.router import (
     CIRCUIT_ROUTES,
-    ROUTE_PREFERENCE,
+    ROUTES,
     RouteAttempt,
     RouteCostModel,
     RouteDecision,
+    check_method,
 )
 from repro.errors import (
     CompilationError,
     DeadlineExceeded,
-    ProbabilityError,
     ReproError,
     UnsafeQueryError,
 )
@@ -48,6 +38,7 @@ from repro.probability.lifted import LiftedPlan, execute_plan, try_lifted_plan
 from repro.provenance.compile_obdd import CompiledOBDD, compile_lineage_to_obdd
 from repro.provenance.lineage import MonotoneDNFLineage, lineage_of
 from repro.provenance.tree_encoding import TreeEncoding, fused_tree_encoding
+from repro.provenance.ucq_automaton import ucq_probability_via_automaton
 from repro.provenance.variable_orders import (
     default_fact_order,
     fact_order_from_path_decomposition,
@@ -55,6 +46,14 @@ from repro.provenance.variable_orders import (
 )
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.resilience import (
+    DEGRADED_ROUTE,
+    ProbabilityBounds,
+    ResourceBudget,
+    activate,
+    active_budget,
+    degraded_probability_bounds,
+)
 from repro.store import (
     ArtifactStore,
     canonical_query_text,
@@ -162,7 +161,6 @@ class _InstanceArtifacts:
     columnar: OrderedDict[tuple[UnionOfConjunctiveQueries, bool], ColumnarOBDD] = field(
         default_factory=OrderedDict
     )
-    dnnfs: OrderedDict[UnionOfConjunctiveQueries, DNNF] = field(default_factory=OrderedDict)
 
 
 class CompilationEngine:
@@ -188,7 +186,7 @@ class CompilationEngine:
         route in the ``method="auto"`` failover chain fails, the last typed
         error is raised.  ``"karp_luby"`` opts into graceful degradation:
         the engine then returns a labelled
-        :class:`~repro.engine.resilience.ProbabilityBounds` (guaranteed
+        :class:`~repro.resilience.ProbabilityBounds` (guaranteed
         dissociation interval plus a seeded point estimate) instead of
         raising — never a bare float masquerading as exact, and never
         entered into the exact probability cache.
@@ -254,7 +252,6 @@ class CompilationEngine:
             "lineage": CacheStats(),
             "obdd": CacheStats(),
             "columnar": CacheStats(),
-            "dnnf": CacheStats(),
             "lifted_plan": CacheStats(),
             "probability": CacheStats(),
             "store": CacheStats(),
@@ -466,28 +463,43 @@ class CompilationEngine:
     def _compile(
         self, query: Query, instance: Instance, use_path: bool, probe_store: bool
     ) -> CompiledOBDD:
+        compiled = self._cached_compile(query, instance, use_path, probe_store)
+        if compiled is None:
+            lineage = self.lineage(query, instance)
+            order = self.fact_order(instance, "path" if use_path else "default")
+            compiled = self._keep_compiled(
+                query, instance, use_path, compile_lineage_to_obdd(lineage, order)
+            )
+            self._store_save_columnar(query, instance, use_path, compiled.to_columnar())
+        return compiled
+
+    def _cached_compile(
+        self, query: Query, instance: Instance, use_path: bool, probe_store: bool
+    ) -> CompiledOBDD | None:
+        """The compiled OBDD from memory, else (``probe_store``) from the
+        store; None when neither holds it.  Never enumerates lineage."""
         key = (as_ucq(query), use_path)
         slot = self._slot(instance)
-        hit = key in slot.compiled
-        self.stats["obdd"].record(hit)
-        if hit:
+        compiled = slot.compiled.get(key)
+        if compiled is not None:
+            self.stats["obdd"].record(True)
             slot.compiled.move_to_end(key)
-        else:
-            stored = (
-                self._store_load_columnar(query, instance, use_path) if probe_store else None
-            )
-            if stored is not None:
-                slot.compiled[key] = CompiledOBDD.from_columnar(stored)
-            else:
-                lineage = self.lineage(query, instance)
-                order = self.fact_order(instance, "path" if use_path else "default")
-                slot.compiled[key] = compile_lineage_to_obdd(lineage, order)
-                self._store_save_columnar(
-                    query, instance, use_path, slot.compiled[key].to_columnar()
-                )
-            while len(slot.compiled) > self._max_queries_per_instance:
-                slot.compiled.popitem(last=False)
-        return slot.compiled[key]
+            return compiled
+        stored = self._store_load_columnar(query, instance, use_path) if probe_store else None
+        if stored is None:
+            return None
+        return self._keep_compiled(query, instance, use_path, CompiledOBDD.from_columnar(stored))
+
+    def _keep_compiled(
+        self, query: Query, instance: Instance, use_path: bool, compiled: CompiledOBDD
+    ) -> CompiledOBDD:
+        """Cache a freshly built or rehydrated OBDD (an ``obdd`` cache miss)."""
+        self.stats["obdd"].record(False)
+        slot = self._slot(instance)
+        slot.compiled[(as_ucq(query), use_path)] = compiled
+        while len(slot.compiled) > self._max_queries_per_instance:
+            slot.compiled.popitem(last=False)
+        return compiled
 
     def compile_many(
         self,
@@ -544,20 +556,6 @@ class CompilationEngine:
                 slot.columnar.popitem(last=False)
         return slot.columnar[key]
 
-    def dnnf(self, query: Query, instance: Instance) -> DNNF:
-        """A (cached) d-DNNF for the query's lineage, through the OBDD route."""
-        key = as_ucq(query)
-        slot = self._slot(instance)
-        hit = key in slot.dnnfs
-        self.stats["dnnf"].record(hit)
-        if hit:
-            slot.dnnfs.move_to_end(key)
-        else:
-            slot.dnnfs[key] = self.compile(query, instance).to_dnnf()
-            while len(slot.dnnfs) > self._max_queries_per_instance:
-                slot.dnnfs.popitem(last=False)
-        return slot.dnnfs[key]
-
     # -- lifted plans and the dichotomy router --------------------------------
 
     def lifted_plan(self, query: Query) -> LiftedPlan | None:
@@ -597,24 +595,28 @@ class CompilationEngine:
                 self._lifted_plans.popitem(last=False)
         return self._lifted_plans[key]
 
-    def _has_circuit_artifact(self, route: str, query: Query, instance: Instance) -> bool:
-        """Whether the route's artifact is already cached for (query, instance).
+    def _compiled_order(self, query: Query, instance: Instance) -> bool | None:
+        """The ``use_path`` flag of an in-memory OBDD for (query, instance),
+        the default fact order preferred; None when neither is cached.
 
         A peek, not a touch: no LRU reordering, no stats, no construction.
         """
         slot = self._artifacts.get(instance.fingerprint)
         if slot is None:
-            return False
+            return None
         key = as_ucq(query)
+        for use_path in (False, True):
+            if (key, use_path) in slot.compiled:
+                return use_path
+        return None
+
+    def _has_circuit_artifact(self, route: str, query: Query, instance: Instance) -> bool:
+        """Whether the route's artifact is already cached for (query, instance)
+        (a peek, like :meth:`_compiled_order`)."""
         if route == "obdd":
-            return (key, False) in slot.compiled or (key, True) in slot.compiled
-        if route == "columnar":
-            return (key, False) in slot.columnar or (key, True) in slot.columnar
-        if route == "dnnf":
-            return key in slot.dnnfs
-        if route == "automaton":
-            return slot.encoding is not None
-        return False
+            return self._compiled_order(query, instance) is not None
+        slot = self._artifacts.get(instance.fingerprint)
+        return slot is not None and slot.encoding is not None
 
     def choose_route(self, query: Query, tid: ProbabilisticInstance) -> RouteDecision:
         """The dichotomy router: pick the ``method="auto"`` evaluation route.
@@ -624,7 +626,7 @@ class CompilationEngine:
         instance side next: each circuit route is a candidate unless the
         instance exceeds ``circuit_fact_limit`` and the route's artifact is
         not already cached.  Among the candidates, the cost model's cheapest
-        prediction wins (ties broken by :data:`ROUTE_PREFERENCE`).
+        prediction wins (ties broken by the order of :data:`ROUTES`).
         """
         plan = self.lifted_plan(query)
         facts = len(tid.instance)
@@ -639,7 +641,7 @@ class CompilationEngine:
                 infeasible.append(route)
             else:
                 estimates.append((route, self.route_costs.predict(route, facts)))
-        estimates.sort(key=lambda e: (e[1], ROUTE_PREFERENCE.get(e[0], len(ROUTE_PREFERENCE))))
+        estimates.sort(key=lambda e: (e[1], ROUTES.index(e[0])))
         if estimates:
             method = estimates[0][0]
             reason = (
@@ -669,22 +671,22 @@ class CompilationEngine:
         tid: ProbabilisticInstance,
         method: str = "auto",
         budget: ResourceBudget | None = None,
-    ) -> Fraction | float | ProbabilityBounds:
+    ) -> Fraction | ProbabilityBounds:
         """The (cached) probability of the query on a TID instance.
 
-        Methods mirror :func:`repro.probability.evaluation.probability`:
-        ``auto`` consults the dichotomy router (:meth:`choose_route`) and
-        records the chosen route in :meth:`route_mix`; ``safe_plan`` executes
-        the engine's cached lifted plan (:meth:`lifted_plan`);
-        ``read_once``/``obdd``/``dnnf`` run on the engine's cached lineages
-        and OBDDs (evaluated by the fused sweep kernel of
-        :meth:`repro.booleans.obdd.OBDD.sweep`); ``obdd_float`` serves the
-        sweep's float fast path (a ``float``, cached under its own method
-        key, never mixed with the exact entries); ``automaton`` runs the
-        state dynamic programming over the engine's cached fused tree
-        encoding (:meth:`tree_encoding_of`); the remaining methods
-        (``brute_force``, ``safe_plan_reference``) have no reusable
-        artifacts and are delegated, with only their final value cached.
+        ``method`` is one of :data:`~repro.engine.router.METHOD_NAMES`:
+        ``auto`` consults the dichotomy router (:meth:`choose_route`), fails
+        over along :data:`~repro.engine.router.ROUTES`, and records the
+        serving route in :meth:`route_mix`; a route name runs that route
+        alone.  ``safe_plan`` executes the engine's cached lifted plan
+        (:meth:`lifted_plan`); ``obdd`` evaluates the cached compiled OBDD
+        with the exact fused sweep (:meth:`repro.booleans.obdd.OBDD.sweep`),
+        from memory or the store when present, and otherwise enumerates the
+        lineage, evaluating a read-once-shaped one directly;
+        ``automaton`` runs the state dynamic programming over the engine's
+        cached fused tree encoding (:meth:`tree_encoding_of`).  Every route
+        is exact.  Any other string raises
+        :class:`~repro.errors.ProbabilityError` naming the valid ones.
 
         ``budget`` activates a :class:`~repro.resilience.ResourceBudget`
         around the evaluation: the kernels then checkpoint against its node
@@ -693,10 +695,12 @@ class CompilationEngine:
         :class:`~repro.errors.DeadlineExceeded` (``method="auto"`` fails
         over between routes on the former).  A cache hit answers without
         consulting the budget.  Degraded answers
-        (:class:`~repro.engine.resilience.ProbabilityBounds`) are never
+        (:class:`~repro.resilience.ProbabilityBounds`) are never
         cached: the next call gets a fresh chance at an exact route.
         """
-        key = (as_ucq(query), tid.fingerprint, method)
+        check_method(method)
+        query = as_ucq(query)
+        key = (query, tid.fingerprint, method)
         cached = self._probabilities.get(key)
         self.stats["probability"].record(cached is not None)
         if cached is not None:
@@ -704,9 +708,9 @@ class CompilationEngine:
             return cached
         if budget is not None:
             with activate(budget):
-                value = self._evaluate_probability(as_ucq(query), tid, method)
+                value = self._evaluate(query, tid, method)
         else:
-            value = self._evaluate_probability(as_ucq(query), tid, method)
+            value = self._evaluate(query, tid, method)
         if isinstance(value, ProbabilityBounds):
             return value
         self._probabilities[key] = value
@@ -720,7 +724,7 @@ class CompilationEngine:
         tid: ProbabilisticInstance,
         method: str = "auto",
         budget: ResourceBudget | None = None,
-    ) -> list[Fraction | float | ProbabilityBounds]:
+    ) -> list[Fraction | ProbabilityBounds]:
         """Probabilities of a batch of queries on one TID instance.
 
         A shared ``budget`` spans the whole batch: its node/row caps bound
@@ -729,67 +733,14 @@ class CompilationEngine:
         """
         return [self.probability(q, tid, method, budget=budget) for q in queries]
 
-    def _evaluate_probability(
+    def _evaluate(
         self, query: UnionOfConjunctiveQueries, tid: ProbabilisticInstance, method: str
-    ) -> Fraction | float | ProbabilityBounds:
-        from repro.probability.evaluation import (
-            _probability_of_read_once,
-            probability as one_shot_probability,
-        )
-
-        if method == "auto":
-            return self._evaluate_auto(query, tid)
-        if method == "read_once":
-            lineage = self.lineage(query, tid.instance)
-            if lineage.is_read_once_shaped():
-                return _probability_of_read_once(lineage, tid)
-            raise ProbabilityError("lineage is not read-once shaped; use another method")
-        if method == "safe_plan":
-            plan = self.lifted_plan(query)
-            if plan is None:
-                raise UnsafeQueryError(
-                    "query admits no lifted plan: use a circuit method or auto"
-                )
-            return execute_plan(plan, tid)
-        if method == "obdd":
-            return self.compile(query, tid.instance).probability(tid.valuation())
-        if method == "obdd_float":
-            return self.compile(query, tid.instance).probability(tid.valuation(), exact=False)
-        if method == "columnar":
-            return self.columnar(query, tid.instance).probability(tid.valuation())
-        if method == "columnar_float":
-            return self.columnar(query, tid.instance).probability(tid.valuation(), exact=False)
-        if method == "automaton_columnar":
-            from repro.provenance.columnar_product import (
-                ucq_probability_via_columnar_automaton,
-            )
-
-            return ucq_probability_via_columnar_automaton(
-                query, tid, encoding=self.tree_encoding_of(tid.instance)
-            )
-        if method == "dnnf":
-            dnnf = self.dnnf(query, tid.instance)
-            valuation = {fact: tid.probability_of(fact) for fact in dnnf.variables()}
-            return dnnf.probability(valuation)
-        if method == "automaton":
-            from repro.provenance.ucq_automaton import ucq_probability_via_automaton
-
-            # The fused tree encoding is a per-instance structural artifact:
-            # cached here, every query in a session reuses it.
-            return ucq_probability_via_automaton(
-                query, tid, encoding=self.tree_encoding_of(tid.instance)
-            )
-        # brute_force / safe_plan_reference: no cross-call artifacts to reuse.
-        return one_shot_probability(query, tid, method=method)
-
-    def _evaluate_auto(
-        self, query: UnionOfConjunctiveQueries, tid: ProbabilisticInstance
     ) -> Fraction | ProbabilityBounds:
-        """``method="auto"``: the routed evaluation with route failover.
+        """One route, or for ``method="auto"`` the routed chain with failover.
 
         The router's pick runs first; on a budget blowout or a
         route-specific failure the engine advances through the remaining
-        feasible routes in :data:`~repro.engine.resilience.FAILOVER_ORDER`,
+        feasible routes in :data:`~repro.engine.router.ROUTES`,
         resetting the active budget's usage counters between attempts
         (caps are per-attempt) and recording each failure as a cost-model
         penalty.  A :class:`~repro.errors.DeadlineExceeded` is terminal:
@@ -801,12 +752,12 @@ class CompilationEngine:
         :attr:`last_decision` as :class:`~repro.engine.router.RouteAttempt`
         records.
         """
+        if method != "auto":
+            return self._evaluate_route(method, query, tid)
         decision = self.choose_route(query, tid)
         feasible = {route for route, _ in decision.estimates}
         chain = [decision.method] + [
-            route
-            for route in FAILOVER_ORDER
-            if route in feasible and route != decision.method
+            route for route in ROUTES if route in feasible and route != decision.method
         ]
         budget = active_budget()
         facts = len(tid.instance)
@@ -865,34 +816,54 @@ class CompilationEngine:
     def _evaluate_route(
         self, route: str, query: UnionOfConjunctiveQueries, tid: ProbabilisticInstance
     ) -> Fraction:
-        """Run one route chosen by :meth:`choose_route` (always exact)."""
-        from repro.probability.evaluation import _probability_of_read_once
-
+        """Run one route of :data:`~repro.engine.router.ROUTES` (always exact)."""
         if route == "safe_plan":
             plan = self.lifted_plan(query)
-            if plan is None:  # pragma: no cover - router never picks this
-                raise UnsafeQueryError("query admits no lifted plan")
+            if plan is None:
+                raise UnsafeQueryError(
+                    "query admits no lifted plan: use a circuit method or auto"
+                )
             return execute_plan(plan, tid)
         if route == "obdd":
-            # Keep the read-once shortcut: a read-once-shaped lineage is
-            # evaluated directly, skipping OBDD construction entirely.
-            lineage = self.lineage(query, tid.instance)
-            if lineage.is_read_once_shaped():
-                return _probability_of_read_once(lineage, tid)
-            return self.compile(query, tid.instance).probability(tid.valuation())
-        if route == "columnar":
-            return self.columnar(query, tid.instance).probability(tid.valuation())
-        if route == "dnnf":
-            dnnf = self.dnnf(query, tid.instance)
-            valuation = {fact: tid.probability_of(fact) for fact in dnnf.variables()}
-            return dnnf.probability(valuation)
-        if route == "automaton":
-            from repro.provenance.ucq_automaton import ucq_probability_via_automaton
+            return self._obdd_probability(query, tid)
+        return ucq_probability_via_automaton(
+            query, tid, encoding=self.tree_encoding_of(tid.instance)
+        )
 
-            return ucq_probability_via_automaton(
-                query, tid, encoding=self.tree_encoding_of(tid.instance)
-            )
-        raise CompilationError(f"unknown route {route!r}")
+    def _obdd_probability(
+        self, query: UnionOfConjunctiveQueries, tid: ProbabilisticInstance
+    ) -> Fraction:
+        """The ``obdd`` route.
+
+        The artifact that made the route feasible is the one evaluated: an
+        in-memory OBDD in either fact order (what the circuit gate accepts),
+        else the stored one.  Only a miss enumerates the lineage; a
+        read-once-shaped lineage is then evaluated directly, with no OBDD.
+        """
+        instance = tid.instance
+        use_path = self._compiled_order(query, instance)
+        compiled = self._cached_compile(
+            query, instance, bool(use_path), probe_store=use_path is None
+        )
+        if compiled is None:
+            lineage = self.lineage(query, instance)
+            if lineage.is_read_once_shaped():
+                return _read_once_probability(lineage, tid)
+            compiled = self._compile(query, instance, False, probe_store=False)
+        return compiled.probability(tid.valuation())
+
+
+def _read_once_probability(
+    lineage: MonotoneDNFLineage, tid: ProbabilisticInstance
+) -> Fraction:
+    """P(OR of independent ANDs) = 1 - prod(1 - prod(p(fact)))."""
+    complement = Fraction(1)
+    for clause in lineage.clauses:
+        clause_probability = Fraction(1)
+        for fact in clause:
+            clause_probability *= tid.probability_of(fact)
+        complement *= 1 - clause_probability
+    return 1 - complement
 
 
 def _describe_failure(error: BaseException) -> str:

@@ -1,179 +1,63 @@
 """Top-level probability evaluation for UCQ≠ queries on TID instances.
 
-This is the user-facing entry point implementing the upper bound of
-Theorem 4.2: on treelike instances, probability evaluation runs in one pass
-over a tree encoding (the ``automaton`` method) or through a compiled lineage
-(``obdd`` / ``dnnf``); ``brute_force`` is the exponential oracle;
-``safe_plan`` is the query-based lifted-inference route of Section 9
-(compiled plans, :mod:`repro.probability.lifted`) and
-``safe_plan_reference`` its recursive differential reference
-(:mod:`repro.probability.safe_plans`).
+This is the user-facing entry point of the paper's dichotomy, with one
+route per tractable regime: ``safe_plan`` runs the compiled lifted plan of a
+safe query (Section 9, :mod:`repro.probability.lifted`); on treelike
+instances (Theorem 4.2) ``obdd`` compiles the lineage to an OBDD and
+``automaton`` runs the tree-automaton dynamic program over a tree encoding;
+``auto`` picks among them and fails over (:mod:`repro.engine.router`).
+Every route returns an exact :class:`fractions.Fraction`.
 
-All methods return exact :class:`fractions.Fraction` values and agree with
-each other — the test suite checks this systematically.  The one deliberate
-exception is ``obdd_float``: the float fast path of the fused sweep kernel
-(:meth:`repro.booleans.obdd.OBDD.sweep`), which returns a ``float`` computed
-in hardware arithmetic and falls back to the exact Fraction kernel whenever
-the float pass degenerates (non-finite or outside ``[0, 1]``).  Every route
-advertised as exact stays exact.
+The evaluation itself lives in :class:`repro.engine.CompilationEngine`;
+this function is its one-shot front.  Independent reference algorithms
+(brute-force world enumeration, the recursive safe-plan reference, d-DNNF
+and columnar evaluation of the compiled lineage) are oracles, cross-checked
+against these routes by :class:`repro.testing.ProbabilityOracle`; float
+kernels stay on the artifacts themselves
+(:meth:`repro.provenance.compile_obdd.CompiledOBDD.probability` and
+:meth:`repro.booleans.columnar.ColumnarOBDD.probability` with
+``exact=False``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal
 
 from repro.data.tid import ProbabilisticInstance
-from repro.errors import ProbabilityError
-from repro.provenance.compile_obdd import compile_query_to_obdd
-from repro.provenance.lineage import lineage_of
+from repro.engine.router import METHOD_NAMES
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.resilience import ProbabilityBounds
 
-Method = Literal[
-    "auto",
-    "obdd",
-    "obdd_float",
-    "columnar",
-    "columnar_float",
-    "dnnf",
-    "automaton",
-    "automaton_columnar",
-    "brute_force",
-    "safe_plan",
-    "safe_plan_reference",
-    "read_once",
-]
-
-#: Every accepted method string, in presentation order (the CLI choices).
-METHOD_NAMES: tuple[str, ...] = (
-    "auto",
-    "obdd",
-    "obdd_float",
-    "columnar",
-    "columnar_float",
-    "dnnf",
-    "automaton",
-    "automaton_columnar",
-    "brute_force",
-    "safe_plan",
-    "safe_plan_reference",
-    "read_once",
-)
+__all__ = ["METHOD_NAMES", "probability"]
 
 
 def probability(
     query: UnionOfConjunctiveQueries | ConjunctiveQuery,
     probabilistic_instance: ProbabilisticInstance,
-    method: Method = "auto",
+    method: str = "auto",
     engine=None,
     budget=None,
-) -> Fraction | float:
+) -> Fraction | ProbabilityBounds:
     """The probability that the TID instance satisfies the UCQ≠ (Definition 3.1).
 
-    Passing a :class:`repro.engine.CompilationEngine` routes the evaluation
-    through the engine's caches (lineages, OBDDs, and probability results are
-    memoized across calls by content fingerprint); without one, everything is
-    recomputed from scratch.
+    ``method`` is one of :data:`METHOD_NAMES`; any other string raises
+    :class:`~repro.errors.ProbabilityError` naming the valid ones.  The
+    evaluation runs on ``engine`` — a :class:`repro.engine.CompilationEngine`
+    whose caches (lineages, OBDDs, tree encodings, lifted plans, and
+    probability results, keyed by content fingerprint) then serve later
+    calls — or on a fresh engine that is dropped afterwards.
 
     Passing a :class:`repro.resilience.ResourceBudget` activates its node/row
     caps and wall-clock deadline around the evaluation (the kernels
     checkpoint cooperatively and raise :class:`~repro.errors.BudgetExceeded`
-    / :class:`~repro.errors.DeadlineExceeded`); with an engine,
-    ``method="auto"`` additionally fails over between routes on a blowout.
+    / :class:`~repro.errors.DeadlineExceeded`); ``method="auto"`` then fails
+    over between routes on a blowout, and an engine constructed with
+    ``degradation="karp_luby"`` returns labelled
+    :class:`~repro.resilience.ProbabilityBounds` when every route fails.
     """
-    query = as_ucq(query)
-    if engine is not None:
-        return engine.probability(query, probabilistic_instance, method, budget=budget)
-    if budget is not None:
-        from repro.resilience import activate
+    if engine is None:
+        from repro.engine import CompilationEngine
 
-        with activate(budget):
-            return probability(query, probabilistic_instance, method)
-    if method == "auto":
-        return _auto_probability(query, probabilistic_instance)
-    if method == "brute_force":
-        from repro.probability.brute_force import brute_force_probability
-
-        return brute_force_probability(query, probabilistic_instance)
-    if method == "safe_plan":
-        from repro.probability.lifted import lifted_probability
-
-        return lifted_probability(query, probabilistic_instance)
-    if method == "safe_plan_reference":
-        from repro.probability.safe_plans import safe_plan_probability
-
-        return safe_plan_probability(query, probabilistic_instance)
-    if method == "obdd":
-        compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-        return compiled.probability(probabilistic_instance.valuation())
-    if method == "obdd_float":
-        compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-        return compiled.probability(probabilistic_instance.valuation(), exact=False)
-    if method in ("columnar", "columnar_float"):
-        compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-        columnar = compiled.to_columnar()
-        return columnar.probability(
-            probabilistic_instance.valuation(), exact=method == "columnar"
-        )
-    if method == "automaton_columnar":
-        from repro.provenance.columnar_product import (
-            ucq_probability_via_columnar_automaton,
-        )
-
-        return ucq_probability_via_columnar_automaton(query, probabilistic_instance)
-    if method == "dnnf":
-        compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-        dnnf = compiled.to_dnnf()
-        valuation = {
-            fact: probabilistic_instance.probability_of(fact) for fact in dnnf.variables()
-        }
-        return dnnf.probability(valuation)
-    if method == "automaton":
-        from repro.provenance.ucq_automaton import ucq_probability_via_automaton
-
-        return ucq_probability_via_automaton(query, probabilistic_instance)
-    if method == "read_once":
-        return _read_once_probability(query, probabilistic_instance)
-    raise ProbabilityError(f"unknown probability evaluation method {method!r}")
-
-
-def _auto_probability(
-    query: UnionOfConjunctiveQueries, probabilistic_instance: ProbabilisticInstance
-) -> Fraction:
-    """Pick a strategy: liftable queries run their compiled safe plan (no
-    lineage, no circuit — the route that scales past any compilation);
-    read-once lineages get the direct formula; everything else goes through
-    the OBDD compilation (which is exact for any UCQ≠).  With an engine, the
-    dichotomy router additionally weighs measured costs
-    (:meth:`repro.engine.CompilationEngine.choose_route`)."""
-    from repro.probability.lifted import execute_plan, try_lifted_plan
-
-    plan = try_lifted_plan(query)
-    if plan is not None:
-        return execute_plan(plan, probabilistic_instance)
-    lineage = lineage_of(query, probabilistic_instance.instance)
-    if lineage.is_read_once_shaped():
-        return _probability_of_read_once(lineage, probabilistic_instance)
-    compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-    return compiled.probability(probabilistic_instance.valuation())
-
-
-def _read_once_probability(
-    query: UnionOfConjunctiveQueries, probabilistic_instance: ProbabilisticInstance
-) -> Fraction:
-    lineage = lineage_of(query, probabilistic_instance.instance)
-    if not lineage.is_read_once_shaped():
-        raise ProbabilityError("lineage is not read-once shaped; use another method")
-    return _probability_of_read_once(lineage, probabilistic_instance)
-
-
-def _probability_of_read_once(lineage, probabilistic_instance: ProbabilisticInstance) -> Fraction:
-    """P(OR of independent ANDs) = 1 - prod(1 - prod(p(fact)))."""
-    complement = Fraction(1)
-    for clause in lineage.clauses:
-        clause_probability = Fraction(1)
-        for fact in clause:
-            clause_probability *= probabilistic_instance.probability_of(fact)
-        complement *= 1 - clause_probability
-    return 1 - complement
+        engine = CompilationEngine()
+    return engine.probability(query, probabilistic_instance, method, budget=budget)

@@ -29,19 +29,35 @@ on exit.  The design is deliberately single-threaded per process — workers
 in :class:`repro.engine.parallel.ParallelEngine` each own their process and
 therefore their own ambient slot.
 
-This module sits *below* :mod:`repro.engine` (it imports only the error
-hierarchy) so the kernels can use it without importing the engine package;
-:mod:`repro.engine.resilience` re-exports everything here and adds the
-engine-level failover and degradation machinery on top.
+The module also holds the *labelled* result of the opt-in ``karp_luby``
+degradation tier.  The exactness contract: an exact method either returns
+an exact :class:`~fractions.Fraction` or raises a typed error; when every
+route of the ``method="auto"`` failover chain
+(:data:`repro.engine.router.ROUTES`) is exhausted and the engine was
+constructed with ``degradation="karp_luby"``, the caller receives a
+:class:`ProbabilityBounds` — guaranteed dissociation interval plus a seeded
+Karp–Luby point estimate, computed by :func:`degraded_probability_bounds` —
+never a bare float masquerading as exact.
+
+This module sits *below* :mod:`repro.engine` (at import time it needs only
+the error hierarchy) so the kernels can use it without importing the engine
+package.
 """
 
 from __future__ import annotations
 
 from contextlib import AbstractContextManager, contextmanager
+from dataclasses import dataclass
+from fractions import Fraction
 from time import monotonic
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import BudgetExceeded, CompilationError, DeadlineExceeded
+
+if TYPE_CHECKING:
+    from repro.data.tid import ProbabilisticInstance
+    from repro.queries.cq import ConjunctiveQuery
+    from repro.queries.ucq import UnionOfConjunctiveQueries
 
 #: How many charged units pass between wall-clock consultations; one
 #: ``monotonic()`` call per interval keeps the checkpoint overhead on the
@@ -213,3 +229,64 @@ def activate(budget: ResourceBudget) -> Iterator[ResourceBudget]:
         yield budget
     finally:
         ACTIVE = previous
+
+
+#: The name under which the degradation tier is recorded in the route mix
+#: and on :class:`~repro.engine.router.RouteDecision`.
+DEGRADED_ROUTE = "karp_luby"
+
+
+@dataclass(frozen=True, slots=True)
+class ProbabilityBounds:
+    """A labelled approximate answer: guaranteed interval plus point estimate.
+
+    ``lower``/``upper`` are the exact dissociation bounds (theorems — the
+    true probability always lies inside); ``estimate`` is the seeded
+    Karp–Luby point estimate with its sampling effort.  Returned *only* by
+    the opt-in degradation tier, so a caller can never mistake it for an
+    exact :class:`~fractions.Fraction`.
+    """
+
+    lower: Fraction
+    upper: Fraction
+    estimate: float
+    samples: int
+    method: str = DEGRADED_ROUTE
+
+    def contains(self, value: Fraction | float) -> bool:
+        """Whether ``value`` lies in the guaranteed interval."""
+        if isinstance(value, float):
+            return float(self.lower) - 1e-12 <= value <= float(self.upper) + 1e-12
+        return self.lower <= value <= self.upper
+
+    @property
+    def gap(self) -> Fraction:
+        return self.upper - self.lower
+
+    def __float__(self) -> float:
+        return float(self.estimate)
+
+
+def degraded_probability_bounds(
+    query: "UnionOfConjunctiveQueries | ConjunctiveQuery",
+    tid: "ProbabilisticInstance",
+    samples: int = 2000,
+    seed: int = 0,
+) -> ProbabilityBounds:
+    """The ``karp_luby`` degradation tier: bounds, never a silent approximation.
+
+    One DNF lineage (polynomial in the instance even when the compiled
+    circuits explode) feeds both the guaranteed dissociation interval and
+    the Karp–Luby estimator; the estimate is clamped into the interval so
+    the three numbers are always mutually consistent.
+    """
+    from repro.probability.approximation import karp_luby_with_bounds
+
+    estimate, bounds = karp_luby_with_bounds(query, tid, samples=samples, seed=seed)
+    point = min(max(estimate.estimate, float(bounds.lower)), float(bounds.upper))
+    return ProbabilityBounds(
+        lower=bounds.lower,
+        upper=bounds.upper,
+        estimate=point,
+        samples=estimate.samples,
+    )

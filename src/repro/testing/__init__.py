@@ -7,7 +7,8 @@ program, lifted inference on safe queries, Karp–Luby sampling, dissociation
 bounds).  This package turns that redundancy into infrastructure:
 
 * :class:`ProbabilityOracle` evaluates one ``(query, instance)`` pair
-  through every applicable route, asserts the exact routes agree as
+  through every applicable algorithm of :data:`ORACLE_METHODS` (the
+  product routes plus the reference algorithms that are not routes), asserts the exact routes agree as
   :class:`~fractions.Fraction` values, and asserts the approximate routes
   respect their guaranteed intervals;
 * :func:`random_workload` produces seeded, reproducible ``(query, TID)``
@@ -37,9 +38,11 @@ from repro.testing.faults import (
 )
 from repro.testing.oracle import (
     DEFAULT_EXACT_METHODS,
+    ORACLE_METHODS,
     OracleDisagreement,
     OracleReport,
     ProbabilityOracle,
+    oracle_probability,
 )
 from repro.testing.workloads import (
     DEFAULT_FAMILIES,
@@ -61,6 +64,7 @@ __all__ = [
     "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
+    "ORACLE_METHODS",
     "OracleDisagreement",
     "OracleReport",
     "ProbabilityOracle",
@@ -70,6 +74,7 @@ __all__ = [
     "consume_token",
     "decomposition_errors",
     "is_valid_decomposition",
+    "oracle_probability",
     "random_cq",
     "random_dyadic_probabilities",
     "random_query",

@@ -7,9 +7,9 @@ differentially testable.  :class:`ProbabilityOracle` evaluates one
 
 * **exact agreement** — brute-force world enumeration, OBDD compilation,
   the columnar (structure-of-arrays) sweep, d-DNNF compilation, the ``auto``
-  dispatcher (and optionally the tree-automaton dynamic program, object or
-  columnar) must return the *same*
-  :class:`~fractions.Fraction`, compared exactly, never through ``float``.
+  dispatcher (and optionally the tree-automaton dynamic program) must
+  return the *same* :class:`~fractions.Fraction`, compared exactly, never
+  through ``float``.
   Brute force is the fully independent reference (as are the automaton and
   lifted-inference routes when they run); the compiled routes share the
   lineage-compilation pipeline, so their agreement additionally guards the
@@ -29,6 +29,11 @@ differentially testable.  :class:`ProbabilityOracle` evaluates one
 Any violation raises :class:`OracleDisagreement` carrying the per-route
 values, so a failing differential test prints exactly which backends fell
 apart and by how much.
+
+The product exposes one route per regime
+(:data:`repro.engine.router.METHOD_NAMES`); the reference algorithms that
+are not routes live here, in :data:`ORACLE_METHODS`, a name → callable
+table that :func:`oracle_probability` evaluates.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine
@@ -46,8 +51,16 @@ from repro.probability.approximation import (
     dissociation_bounds,
     karp_luby_probability,
 )
+from repro.probability.brute_force import brute_force_probability
 from repro.probability.evaluation import probability
-from repro.probability.safe_plans import UnsafeQueryError, is_liftable
+from repro.probability.lifted import lifted_probability
+from repro.probability.safe_plans import (
+    UnsafeQueryError,
+    is_liftable,
+    safe_plan_probability,
+)
+from repro.provenance.compile_obdd import compile_query_to_obdd
+from repro.provenance.ucq_automaton import ucq_probability_via_automaton
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
 from repro.testing.workloads import WorkloadCase
@@ -55,6 +68,54 @@ from repro.testing.workloads import WorkloadCase
 Query = UnionOfConjunctiveQueries | ConjunctiveQuery
 
 DEFAULT_EXACT_METHODS = ("brute_force", "obdd", "columnar", "dnnf", "auto")
+
+
+def _dnnf_probability(
+    query: UnionOfConjunctiveQueries, tid: ProbabilisticInstance
+) -> Fraction:
+    dnnf = compile_query_to_obdd(query, tid.instance).to_dnnf()
+    return dnnf.probability({fact: tid.probability_of(fact) for fact in dnnf.variables()})
+
+
+#: Every algorithm the oracle can cross-check, by name.  Each callable takes
+#: ``(query, tid, engine)``.  The obdd, columnar, and auto entries run on the
+#: shared engine's cached artifact chain (they also test that cached
+#: artifacts stay consistent); the others build fresh artifacts.  The
+#: compiled entries still share the compilation *pipeline* — the genuinely
+#: independent algorithms are brute force, the automaton dynamic program,
+#: and lifted inference.
+ORACLE_METHODS: dict[
+    str,
+    Callable[[UnionOfConjunctiveQueries, ProbabilisticInstance, CompilationEngine], Fraction],
+] = {
+    "brute_force": lambda query, tid, engine: brute_force_probability(query, tid),
+    "obdd": lambda query, tid, engine: engine.compile(query, tid.instance).probability(
+        tid.valuation()
+    ),
+    "columnar": lambda query, tid, engine: engine.columnar(query, tid.instance).probability(
+        tid.valuation()
+    ),
+    "dnnf": lambda query, tid, engine: _dnnf_probability(query, tid),
+    "auto": lambda query, tid, engine: probability(query, tid, engine=engine),
+    "automaton": lambda query, tid, engine: ucq_probability_via_automaton(query, tid),
+    "safe_plan": lambda query, tid, engine: lifted_probability(query, tid),
+    "safe_plan_reference": lambda query, tid, engine: safe_plan_probability(query, tid),
+}
+
+
+def oracle_probability(
+    query: Query,
+    tid: ProbabilisticInstance,
+    method: str,
+    engine: CompilationEngine | None = None,
+) -> Fraction:
+    """The probability by one algorithm of :data:`ORACLE_METHODS`."""
+    evaluate = ORACLE_METHODS.get(method)
+    if evaluate is None:
+        raise ReproError(
+            f"unknown oracle method {method!r}; use one of {', '.join(ORACLE_METHODS)}"
+        )
+    return evaluate(as_ucq(query), tid, engine if engine is not None else CompilationEngine())
 
 
 class OracleDisagreement(ReproError):
@@ -135,11 +196,10 @@ class ProbabilityOracle:
     Parameters
     ----------
     exact_methods:
-        Exact routes to run (method names of
-        :func:`repro.probability.evaluation.probability`).  Brute force is
-        the reference; the default adds the OBDD, columnar, d-DNNF, and
-        ``auto`` routes.  Add ``"automaton"`` (or ``"automaton_columnar"``)
-        for the (slower) tree-automaton dynamic program.
+        Exact algorithms to run (names of :data:`ORACLE_METHODS`).  Brute
+        force is the reference; the default adds the OBDD, columnar, d-DNNF,
+        and ``auto`` routes.  Add ``"automaton"`` for the (slower)
+        tree-automaton dynamic program.
     include_safe_plan:
         Also check the lifted tier: on liftable queries both lifted routes
         (compiled plan and recursive reference) must agree exactly; on
@@ -180,15 +240,6 @@ class ProbabilityOracle:
         self.karp_luby_seed = karp_luby_seed
         self.engine = engine if engine is not None else CompilationEngine()
 
-    # Routes served from the shared engine's cached artifact chain.  The
-    # obdd and auto routes deliberately share it (they also test that cached
-    # artifacts stay consistent); dnnf, brute force, automaton, and safe
-    # plans are evaluated one-shot, on freshly built artifacts.  Note the
-    # compiled routes still share the compilation *pipeline* — the genuinely
-    # independent algorithms are brute force, the automaton dynamic program,
-    # and lifted inference.
-    _ENGINE_METHODS = frozenset({"auto", "obdd", "columnar", "read_once"})
-
     def check(
         self, query: Query, tid: ProbabilisticInstance, name: str = "case"
     ) -> OracleReport:
@@ -198,8 +249,7 @@ class ProbabilityOracle:
         report = OracleReport(name=name, query=query, tid=tid)
         skipped: list[str] = []
         for method in self.exact_methods:
-            engine = self.engine if method in self._ENGINE_METHODS else None
-            report.exact_values[method] = probability(query, tid, method=method, engine=engine)
+            report.exact_values[method] = oracle_probability(query, tid, method, self.engine)
         if self.include_safe_plan:
             liftable = is_liftable(query)
             for method in ("safe_plan", "safe_plan_reference"):
@@ -207,7 +257,7 @@ class ProbabilityOracle:
                     # The verdict contract: is_liftable promised success, so
                     # an UnsafeQueryError here IS a disagreement, not a skip.
                     try:
-                        report.exact_values[method] = probability(query, tid, method=method)
+                        report.exact_values[method] = oracle_probability(query, tid, method)
                     except UnsafeQueryError as error:
                         raise OracleDisagreement(
                             f"oracle case {name!r}: is_liftable is True but "
@@ -216,7 +266,7 @@ class ProbabilityOracle:
                         ) from error
                 else:
                     try:
-                        probability(query, tid, method=method)
+                        oracle_probability(query, tid, method)
                     except UnsafeQueryError:
                         skipped.append(method)
                     else:

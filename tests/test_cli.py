@@ -8,7 +8,7 @@ from repro.cli import build_parser, main
 from repro.data.io import save_instance, save_instance_csv
 from repro.data.tid import ProbabilisticInstance
 from repro.generators.lines import rst_chain_instance
-from repro.probability.evaluation import probability
+from repro.probability.evaluation import METHOD_NAMES, probability
 from repro.queries.library import unsafe_rst
 
 
@@ -80,7 +80,7 @@ def test_probability_command_exact(tid_json, capsys):
 def test_probability_command_methods_agree(tid_json, capsys):
     path, tid = tid_json
     expected = probability(unsafe_rst(), tid)
-    for method in ("obdd", "brute_force"):
+    for method in ("obdd", "automaton"):
         assert (
             main(["probability", str(path), "--query", "R(x), S(x, y), T(y)", "--method", method])
             == 0
@@ -93,6 +93,23 @@ def test_probability_command_methods_agree(tid_json, capsys):
         == 3
     )
     assert "unsafe query" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("removed", ["dnnf", "columnar", "brute_force", "obdd_float"])
+def test_probability_command_rejects_removed_methods(tid_json, capsys, removed):
+    path, _ = tid_json
+    for command in ("probability", "batch"):
+        args = [command, str(path), "--query", "R(x), S(x, y), T(y)", "--method", removed]
+        assert main(args) == 1
+        error = capsys.readouterr().err
+        assert f"unknown probability method {removed!r}" in error
+        assert "auto, safe_plan, obdd, automaton" in error
+
+
+def test_method_option_lists_method_names(capsys):
+    with pytest.raises(SystemExit):
+        main(["probability", "--help"])
+    assert ", ".join(METHOD_NAMES) in " ".join(capsys.readouterr().out.split())
 
 
 def test_probability_command_approximate(tid_json, capsys):

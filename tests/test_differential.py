@@ -18,8 +18,10 @@ import pytest
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine, ParallelEngine
 from repro.testing import (
+    ORACLE_METHODS,
     OracleDisagreement,
     ProbabilityOracle,
+    random_safe_workload,
     random_workload,
     workload_pairs,
 )
@@ -47,6 +49,24 @@ def test_differential_batch_agrees_on_every_backend(seed, oracle):
     # The workload is not degenerate: both trivial and non-trivial values occur.
     values = {report.reference for report in reports}
     assert any(0 < value < 1 for value in values)
+
+
+def test_oracle_compares_every_algorithm():
+    """Algorithms that are not product routes keep their oracle coverage."""
+    assert set(ORACLE_METHODS) == {
+        "brute_force",
+        "obdd",
+        "columnar",
+        "dnnf",
+        "auto",
+        "automaton",
+        "safe_plan",
+        "safe_plan_reference",
+    }
+    exact = tuple(name for name in ORACLE_METHODS if not name.startswith("safe_plan"))
+    oracle = ProbabilityOracle(exact_methods=exact, karp_luby_samples=0)
+    for report in oracle.check_many(random_safe_workload(4, seed=77, max_facts=6)):
+        assert set(report.exact_values) == set(ORACLE_METHODS)
 
 
 def test_workloads_are_reproducible_from_their_seed():
@@ -134,20 +154,10 @@ def test_differential_heavy_grid_family(oracle):
 
 @pytest.mark.slow
 def test_differential_with_automaton_route():
-    """The tree-automaton dynamic program joins the cross-check (slow) —
-    in both its object-kernel and columnar (dense-id) forms."""
+    """The tree-automaton dynamic program joins the cross-check (slow)."""
     oracle = ProbabilityOracle(
-        exact_methods=(
-            "brute_force",
-            "obdd",
-            "columnar",
-            "dnnf",
-            "auto",
-            "automaton",
-            "automaton_columnar",
-        )
+        exact_methods=("brute_force", "obdd", "columnar", "dnnf", "auto", "automaton")
     )
     cases = random_workload(40, seed=505, max_facts=6)
     reports = oracle.check_many(cases)
     assert all("automaton" in report.exact_values for report in reports)
-    assert all("automaton_columnar" in report.exact_values for report in reports)

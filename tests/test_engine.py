@@ -7,12 +7,14 @@ import pytest
 from repro.data.instance import Instance, fact
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CacheStats, CompilationEngine, default_engine
-from repro.errors import CompilationError, ProbabilityError
+from repro.errors import BudgetExceeded, CompilationError, ProbabilityError
 from repro.generators import labelled_partial_ktree_instance, rst_bipartite_instance
+from repro.probability import brute_force_probability
 from repro.probability.evaluation import probability
 from repro.provenance.compile_obdd import compile_query_to_obdd
 from repro.provenance.lineage import lineage_of
 from repro.queries import parse_ucq, qp, unsafe_rst
+from repro.resilience import ResourceBudget
 
 
 @pytest.fixture()
@@ -37,7 +39,7 @@ def test_cached_compilation_identical_to_cold(ktree_tid):
 
 def test_cached_probability_identical_to_cold(ktree_tid):
     engine = CompilationEngine()
-    for method in ("auto", "obdd", "dnnf"):
+    for method in ("auto", "obdd", "automaton"):
         cold = probability(unsafe_rst(), ktree_tid, method=method)
         warm = engine.probability(unsafe_rst(), ktree_tid, method=method)
         again = engine.probability(unsafe_rst(), ktree_tid, method=method)
@@ -112,10 +114,16 @@ def test_compile_many_and_probability_many(ktree_tid):
 
 
 def test_read_once_method_still_rejects_shared_facts():
+    # The obdd route's read-once shortcut refuses lineages that share facts
+    # and compiles them instead; "read_once" is not a method name.
     instance = rst_bipartite_instance(2)
     tid = ProbabilisticInstance.uniform(instance, Fraction(1, 2))
     engine = CompilationEngine()
-    with pytest.raises(ProbabilityError):
+    assert engine.probability(unsafe_rst(), tid, method="obdd") == brute_force_probability(
+        unsafe_rst(), tid
+    )
+    assert engine.stats["obdd"].misses == 1
+    with pytest.raises(ProbabilityError, match="use one of auto, safe_plan, obdd, automaton"):
         engine.probability(unsafe_rst(), tid, method="read_once")
 
 
@@ -222,3 +230,14 @@ def test_cache_stats_formatting():
 def test_default_engine_is_a_singleton():
     assert default_engine() is default_engine()
     assert isinstance(default_engine(), CompilationEngine)
+
+
+def test_failover_under_node_cap_walks_each_route_once():
+    instance = labelled_partial_ktree_instance(30, 2, seed=7)
+    tid = ProbabilisticInstance.uniform(instance, Fraction(1, 2))
+    engine = CompilationEngine()
+    with pytest.raises(BudgetExceeded):
+        engine.probability(unsafe_rst(), tid, "auto", budget=ResourceBudget(node_limit=50))
+    attempts = engine.last_decision.attempts
+    assert [attempt.route for attempt in attempts] == ["obdd", "automaton"]
+    assert all("BudgetExceeded" in attempt.error for attempt in attempts)

@@ -13,8 +13,10 @@ import pytest
 
 from repro.data.instance import Fact, Instance, fact
 from repro.data.tid import ProbabilisticInstance
-from repro.engine import CompilationEngine, ParallelEngine, RouteCostModel
+from repro.engine import CIRCUIT_ROUTES, CompilationEngine, ParallelEngine, RouteCostModel
+from repro.engine import session as session_module
 from repro.errors import UnsafeQueryError
+from repro.generators import labelled_partial_ktree_instance
 from repro.probability.brute_force import brute_force_probability
 from repro.probability.evaluation import probability
 from repro.probability.lifted import (
@@ -34,6 +36,7 @@ from repro.probability.lifted import (
     try_lifted_plan,
 )
 from repro.probability.safe_plans import safe_plan_probability
+from repro.provenance.ucq_automaton import ucq_probability_via_automaton
 from repro.queries import hierarchical_example, parse_cq, parse_ucq, unsafe_rst
 from repro.testing import ProbabilityOracle, random_safe_workload, random_workload
 
@@ -224,7 +227,7 @@ def test_auto_routes_unsafe_query_to_circuit():
     tid = _unsafe_tid()
     decision = engine.choose_route(unsafe_rst(), tid)
     assert not decision.liftable
-    assert decision.method in ("obdd", "columnar", "dnnf", "automaton")
+    assert decision.method in CIRCUIT_ROUTES
     value = engine.probability(unsafe_rst(), tid, "auto")
     assert value == brute_force_probability(unsafe_rst(), tid)
     assert engine.route_mix() == {decision.method: 1}
@@ -235,7 +238,7 @@ def test_circuit_routes_gated_past_fact_limit():
     tid = _small_tid()
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == "safe_plan"
-    assert set(decision.infeasible) == {"obdd", "columnar", "dnnf", "automaton"}
+    assert set(decision.infeasible) == set(CIRCUIT_ROUTES)
     assert [route for route, _ in decision.estimates] == ["safe_plan"]
 
 
@@ -323,8 +326,30 @@ def test_lifted_scales_past_circuit_limit():
     engine = CompilationEngine(circuit_fact_limit=100)
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == "safe_plan"
-    assert set(decision.infeasible) == {"obdd", "columnar", "dnnf", "automaton"}
+    assert set(decision.infeasible) == set(CIRCUIT_ROUTES)
     p = Fraction(1, 2)
     expected = 1 - (1 - p * (1 - (1 - p) ** m)) ** k
     assert engine.probability(hierarchical_example(), tid, "auto") == expected
     assert engine.route_mix() == {"safe_plan": 1}
+
+
+def test_gate_unlocked_by_path_order_obdd_evaluates_that_obdd(monkeypatch):
+    """A cached path-order OBDD makes the gated obdd route feasible; the route
+    must then evaluate that artifact, not compile a default-order one."""
+    instance = labelled_partial_ktree_instance(40, 2, seed=40)
+    tid = ProbabilisticInstance.uniform(instance, Fraction(1, 2))
+    engine = CompilationEngine(circuit_fact_limit=10)
+    compiled = engine.compile(unsafe_rst(), instance, use_path_decomposition=True)
+    builds = []
+    original = session_module.compile_lineage_to_obdd
+    monkeypatch.setattr(
+        session_module,
+        "compile_lineage_to_obdd",
+        lambda *args: builds.append(args) or original(*args),
+    )
+    assert engine.choose_route(unsafe_rst(), tid).method == "obdd"
+    value = engine.probability(unsafe_rst(), tid, "auto")
+    assert engine.route_mix() == {"obdd": 1}
+    assert builds == []
+    assert value == compiled.probability(tid.valuation())
+    assert value == ucq_probability_via_automaton(unsafe_rst(), tid)

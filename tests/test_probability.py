@@ -20,17 +20,27 @@ from repro.probability import (
     probability,
     property_model_count,
 )
+from repro.provenance.lineage import lineage_of
 from repro.queries import parse_cq, parse_ucq, qp, threshold_two_query, unsafe_rst
 from repro.generators import grid_instance
+from repro.probability.evaluation import METHOD_NAMES
+from repro.testing import oracle_probability
 
+# Product routes plus the d-DNNF oracle (no longer a route, still checked).
 METHODS = ("obdd", "dnnf", "automaton", "auto")
+
+
+def evaluate(query, tid, method):
+    if method in METHOD_NAMES:
+        return probability(query, tid, method=method)
+    return oracle_probability(query, tid, method)
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_methods_agree_on_rst_chain(method):
     instance = rst_chain_instance(2)
     tid = random_probabilities(instance, seed=1)
-    assert probability(unsafe_rst(), tid, method=method) == brute_force_probability(
+    assert evaluate(unsafe_rst(), tid, method) == brute_force_probability(
         unsafe_rst(), tid
     )
 
@@ -39,7 +49,7 @@ def test_methods_agree_on_rst_chain(method):
 def test_methods_agree_on_rst_bipartite(method):
     instance = rst_bipartite_instance(2)
     tid = random_probabilities(instance, seed=2)
-    assert probability(unsafe_rst(), tid, method=method) == brute_force_probability(
+    assert evaluate(unsafe_rst(), tid, method) == brute_force_probability(
         unsafe_rst(), tid
     )
 
@@ -48,7 +58,7 @@ def test_methods_agree_on_rst_bipartite(method):
 def test_methods_agree_on_qp_grid(method):
     instance = grid_instance(2, 2)
     tid = ProbabilisticInstance.uniform(instance, Fraction(2, 5))
-    assert probability(qp(), tid, method=method) == brute_force_probability(qp(), tid)
+    assert evaluate(qp(), tid, method) == brute_force_probability(qp(), tid)
 
 
 def test_probability_with_disequality_query():
@@ -60,18 +70,23 @@ def test_probability_with_disequality_query():
 
 
 def test_read_once_method():
+    # The obdd route evaluates a read-once-shaped lineage directly.
     instance = rst_chain_instance(3)
     tid = random_probabilities(instance, seed=4)
-    assert probability(unsafe_rst(), tid, method="read_once") == brute_force_probability(
+    assert lineage_of(unsafe_rst(), instance).is_read_once_shaped()
+    assert probability(unsafe_rst(), tid, method="obdd") == brute_force_probability(
         unsafe_rst(), tid
     )
 
 
 def test_read_once_method_rejects_shared_facts():
+    # Shared facts make the shortcut inapplicable; the route compiles instead.
     instance = rst_bipartite_instance(2)
     tid = ProbabilisticInstance.uniform(instance, Fraction(1, 2))
-    with pytest.raises(ProbabilityError):
-        probability(unsafe_rst(), tid, method="read_once")
+    assert not lineage_of(unsafe_rst(), instance).is_read_once_shaped()
+    assert probability(unsafe_rst(), tid, method="obdd") == brute_force_probability(
+        unsafe_rst(), tid
+    )
 
 
 def test_unknown_method_rejected():
@@ -79,6 +94,31 @@ def test_unknown_method_rejected():
     tid = ProbabilisticInstance.uniform(instance)
     with pytest.raises(ProbabilityError):
         probability(unsafe_rst(), tid, method="nonsense")
+
+
+@pytest.mark.parametrize(
+    "removed",
+    [
+        "obdd_float",
+        "columnar",
+        "columnar_float",
+        "dnnf",
+        "automaton_columnar",
+        "brute_force",
+        "safe_plan_reference",
+        "read_once",
+    ],
+)
+def test_removed_method_names_rejected(removed):
+    tid = ProbabilisticInstance.uniform(rst_chain_instance(1))
+    with pytest.raises(ProbabilityError) as error:
+        probability(unsafe_rst(), tid, method=removed)
+    assert repr(removed) in str(error.value)
+    assert ", ".join(METHOD_NAMES) in str(error.value)
+
+
+def test_method_names_are_one_route_per_regime():
+    assert METHOD_NAMES == ("auto", "safe_plan", "obdd", "automaton")
 
 
 def test_certain_facts_give_deterministic_answer():

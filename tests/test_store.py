@@ -24,9 +24,10 @@ from repro.cli import main
 from repro.data.io import save_instance
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine, ParallelEngine
+from repro.engine import session as session_module
 from repro.errors import StoreError
 from repro.generators import labelled_partial_ktree_instance
-from repro.generators.lines import rst_chain_instance
+from repro.generators.lines import rst_bipartite_instance
 from repro.queries import parse_ucq, unsafe_rst
 from repro.store import (
     CODEC_COLUMNAR,
@@ -52,6 +53,14 @@ KEY_B = "b" * 64
 @pytest.fixture(scope="module")
 def ktree_tid():
     instance = labelled_partial_ktree_instance(10, 2, seed=5)
+    return ProbabilisticInstance.uniform(instance, Fraction(1, 2))
+
+
+@pytest.fixture(scope="module")
+def shared_tid():
+    # Lineages here share facts across clauses, so the obdd route compiles
+    # (and writes behind) an OBDD instead of taking the read-once shortcut.
+    instance = labelled_partial_ktree_instance(24, 2, seed=3)
     return ProbabilisticInstance.uniform(instance, Fraction(1, 2))
 
 
@@ -314,40 +323,75 @@ class TestArtifactStore:
 
 class TestEngineWiring:
     def test_fresh_engine_answers_from_store_with_zero_compilations(
-        self, tmp_path, ktree_tid
+        self, tmp_path, shared_tid
     ):
         root = tmp_path / "store"
         cold = CompilationEngine(store=root)
-        value = cold.probability(unsafe_rst(), ktree_tid, method="columnar")
+        value = cold.probability(unsafe_rst(), shared_tid, method="obdd")
         assert cold.stats["store"].misses == 1
         assert cold.store.counters.writes >= 1
 
         warm = CompilationEngine(store=root)
-        again = warm.probability(unsafe_rst(), ktree_tid, method="columnar")
+        again = warm.probability(unsafe_rst(), shared_tid, method="obdd")
         assert again == value
         assert warm.stats["store"].hits == 1
-        # The restart answered without touching the compilation pipeline.
+        # The restart answered without touching the compilation pipeline:
+        # the one OBDD memory miss was served by the store.
         assert warm.stats["lineage"].misses == 0
-        assert warm.stats["obdd"].misses == 0
+        assert warm.stats["obdd"].misses == 1
+
+    def test_warm_store_enumerates_no_lineage(self, tmp_path, shared_tid, monkeypatch):
+        root = tmp_path / "store"
+        values = {
+            method: CompilationEngine(store=root).probability(unsafe_rst(), shared_tid, method)
+            for method in ("obdd", "auto")
+        }
+        calls = []
+        original = session_module.lineage_of
+        monkeypatch.setattr(
+            session_module,
+            "lineage_of",
+            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs),
+        )
+        for method, value in values.items():
+            warm = CompilationEngine(store=root)
+            assert warm.probability(unsafe_rst(), shared_tid, method) == value
+            assert warm.stats["store"].hits >= 1
+            assert warm.store.counters.writes == 0
+        assert calls == []
+
+    def test_columnar_reads_through_store(self, tmp_path, shared_tid):
+        root = tmp_path / "store"
+        cold = CompilationEngine(store=root)
+        built = cold.columnar(unsafe_rst(), shared_tid.instance)
+        assert cold.store.counters.writes == 1
+
+        warm = CompilationEngine(store=root)
+        loaded = warm.columnar(unsafe_rst(), shared_tid.instance)
+        assert warm.stats["store"].hits == 1
+        assert warm.stats["lineage"].total == 0
+        assert warm.stats["obdd"].total == 0
+        valuation = shared_tid.valuation()
+        assert loaded.probability(valuation) == built.probability(valuation)
 
     def test_corrupted_entry_recompiles_exactly_and_surfaces_quarantine(
-        self, tmp_path, ktree_tid
+        self, tmp_path, shared_tid
     ):
         root = tmp_path / "store"
         cold = CompilationEngine(store=root)
-        value = cold.probability(unsafe_rst(), ktree_tid, method="columnar")
+        value = cold.probability(unsafe_rst(), shared_tid, method="obdd")
         store = ArtifactStore(root)
         corrupt_last_byte(entry_files(store)[0])
 
         warm = CompilationEngine(store=root)
-        again = warm.probability(unsafe_rst(), ktree_tid, method="columnar")
+        again = warm.probability(unsafe_rst(), shared_tid, method="obdd")
         assert again == value  # corruption costs a recompile, never exactness
         assert warm.stats["store"].misses == 1
         assert warm.stats["store"].quarantines == 1
         assert "quarantined" in str(warm.cache_info()["store"])
         # The recompiled artifact was written behind again.
         assert CompilationEngine(store=root).probability(
-            unsafe_rst(), ktree_tid, method="columnar"
+            unsafe_rst(), shared_tid, method="obdd"
         ) == value
 
     def test_lifted_plan_and_none_verdict_round_trip(self, tmp_path):
@@ -383,41 +427,41 @@ class TestEngineWiring:
         by_path = CompilationEngine(store=str(root))
         assert by_path.store is not None and by_path.store.root == root
 
-    def test_clear_resets_store_counters_view(self, tmp_path, ktree_tid):
+    def test_clear_resets_store_counters_view(self, tmp_path, shared_tid):
         engine = CompilationEngine(store=tmp_path / "store")
-        engine.probability(unsafe_rst(), ktree_tid, method="columnar")
+        engine.probability(unsafe_rst(), shared_tid, method="obdd")
         engine.clear()
         assert engine.stats["store"].hits == 0
         assert engine.stats["store"].misses == 0
         assert engine.stats["store"].quarantines == 0
 
-    def test_parallel_workers_share_one_store(self, tmp_path, ktree_tid):
+    def test_parallel_workers_share_one_store(self, tmp_path, shared_tid):
         root = tmp_path / "store"
-        queries = [unsafe_rst(), parse_ucq("R(x), S(x, y)"), parse_ucq("R(x)")]
+        queries = [unsafe_rst(), parse_ucq("R(x), S(x, y)"), parse_ucq("S(x, y), S(y, z)")]
         serial = CompilationEngine()
         expected = [
-            serial.probability(query, ktree_tid, method="columnar") for query in queries
+            serial.probability(query, shared_tid, method="obdd") for query in queries
         ]
         with ParallelEngine(workers=2, store=root) as warmup:
-            values = warmup.probability_many(queries, ktree_tid, method="columnar")
+            values = warmup.probability_many(queries, shared_tid, method="obdd")
         assert values == expected
         assert ArtifactStore(root).stats().entries >= len(queries)
 
         # A second pool (fresh worker processes) reads everything back.
         with ParallelEngine(workers=2, store=root) as pool:
-            again = pool.probability_many(queries, ktree_tid, method="columnar")
+            again = pool.probability_many(queries, shared_tid, method="obdd")
             report = pool.last_report
         assert again == expected
         merged = report.stats
         assert merged["store"].hits == len(queries)
         assert merged["lineage"].misses == 0
 
-    def test_parallel_store_accepts_open_store(self, tmp_path, ktree_tid):
+    def test_parallel_store_accepts_open_store(self, tmp_path, shared_tid):
         opened = ArtifactStore(tmp_path / "store")
         with ParallelEngine(workers=1, store=opened) as pool:
-            value = pool.probability_many([unsafe_rst()], ktree_tid, method="columnar")[0]
+            value = pool.probability_many([unsafe_rst()], shared_tid, method="obdd")[0]
         assert value == CompilationEngine().probability(
-            unsafe_rst(), ktree_tid, method="columnar"
+            unsafe_rst(), shared_tid, method="obdd"
         )
         assert opened.stats().entries >= 1
 
@@ -426,21 +470,24 @@ class TestEngineWiring:
 
 
 @pytest.fixture()
-def chain_json(tmp_path):
-    tid = ProbabilisticInstance.uniform(rst_chain_instance(2), Fraction(1, 2))
-    path = tmp_path / "chain.json"
+def bipartite_json(tmp_path):
+    # R(a_i) joins two S-edges, so "R(x), S(x, y)" has a lineage that shares
+    # facts: the obdd route compiles it (and writes it behind) rather than
+    # taking the read-once shortcut.
+    tid = ProbabilisticInstance.uniform(rst_bipartite_instance(2), Fraction(1, 2))
+    path = tmp_path / "bipartite.json"
     save_instance(tid, path)
     return path, tid
 
 
 class TestCLI:
-    def test_store_warm_start_across_invocations(self, chain_json, tmp_path, capsys):
-        path, tid = chain_json
+    def test_store_warm_start_across_invocations(self, bipartite_json, tmp_path, capsys):
+        path, tid = bipartite_json
         root = str(tmp_path / "store")
         query = "R(x), S(x, y)"
         args = [
             "batch", str(path), "--query", query,
-            "--method", "columnar", "--stats", "--store", root,
+            "--method", "obdd", "--stats", "--store", root,
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -454,16 +501,16 @@ class TestCLI:
         value_line = first.splitlines()[0]
         assert second.splitlines()[0] == value_line
 
-    def test_probability_store_corruption_still_exact(self, chain_json, tmp_path, capsys):
+    def test_probability_store_corruption_still_exact(self, bipartite_json, tmp_path, capsys):
         from repro.probability.evaluation import probability
 
-        path, tid = chain_json
+        path, tid = bipartite_json
         root = tmp_path / "store"
         query = "R(x), S(x, y)"
-        expected = probability(parse_ucq(query), tid, method="columnar")
+        expected = probability(parse_ucq(query), tid, method="obdd")
         args = [
             "probability", str(path), "--query", query,
-            "--method", "columnar", "--store", str(root),
+            "--method", "obdd", "--store", str(root),
         ]
         assert main(args) == 0
         assert str(expected) in capsys.readouterr().out
@@ -472,12 +519,12 @@ class TestCLI:
         assert main(args) == 0
         assert str(expected) in capsys.readouterr().out
 
-    def test_store_stats_and_quarantine_list(self, chain_json, tmp_path, capsys):
-        path, _ = chain_json
+    def test_store_stats_and_quarantine_list(self, bipartite_json, tmp_path, capsys):
+        path, _ = bipartite_json
         root = str(tmp_path / "store")
         main([
-            "probability", str(path), "--query", "R(x)",
-            "--method", "columnar", "--store", root,
+            "probability", str(path), "--query", "R(x), S(x, y)",
+            "--method", "obdd", "--store", root,
         ])
         capsys.readouterr()
         assert main(["store", "stats", root]) == 0
@@ -486,12 +533,12 @@ class TestCLI:
         assert main(["store", "quarantine-list", root]) == 0
         assert "quarantine is empty" in capsys.readouterr().out
 
-    def test_store_verify_exit_codes_and_repair(self, chain_json, tmp_path, capsys):
-        path, _ = chain_json
+    def test_store_verify_exit_codes_and_repair(self, bipartite_json, tmp_path, capsys):
+        path, _ = bipartite_json
         root = str(tmp_path / "store")
         probability_args = [
             "probability", str(path), "--query", "R(x), S(x, y)",
-            "--method", "columnar", "--store", root,
+            "--method", "obdd", "--store", root,
         ]
         main(probability_args)
         capsys.readouterr()
@@ -515,13 +562,13 @@ class TestCLI:
         assert main(["store", "verify", root]) == 0
 
     def test_store_verify_repair_without_instance_deletes(
-        self, chain_json, tmp_path, capsys
+        self, bipartite_json, tmp_path, capsys
     ):
-        path, _ = chain_json
+        path, _ = bipartite_json
         root = str(tmp_path / "store")
         main([
-            "probability", str(path), "--query", "R(x)",
-            "--method", "columnar", "--store", root,
+            "probability", str(path), "--query", "R(x), S(x, y)",
+            "--method", "obdd", "--store", root,
         ])
         for entry in glob.glob(os.path.join(root, "objects", "*", "*.entry")):
             corrupt_last_byte(entry)
@@ -530,19 +577,19 @@ class TestCLI:
         assert "deleted" in capsys.readouterr().out
         assert main(["store", "verify", root]) == 0  # nothing damaged remains
 
-    def test_store_gc_command(self, chain_json, tmp_path, capsys):
-        path, _ = chain_json
+    def test_store_gc_command(self, bipartite_json, tmp_path, capsys):
+        path, _ = bipartite_json
         root = str(tmp_path / "store")
         main([
-            "probability", str(path), "--query", "R(x)",
-            "--method", "columnar", "--store", root,
+            "probability", str(path), "--query", "R(x), S(x, y)",
+            "--method", "obdd", "--store", root,
         ])
         capsys.readouterr()
         assert main(["store", "gc", root, "--max-bytes", "0"]) == 0
         assert "evicted 1 entries" in capsys.readouterr().out
 
-    def test_lineage_accepts_store(self, chain_json, tmp_path, capsys):
-        path, _ = chain_json
+    def test_lineage_accepts_store(self, bipartite_json, tmp_path, capsys):
+        path, _ = bipartite_json
         root = str(tmp_path / "store")
         assert main([
             "lineage", str(path), "--query", "R(x), S(x, y)", "--store", root,

@@ -28,6 +28,7 @@ from repro.booleans.reference import (
     width_by_cuts,
 )
 from repro.engine import CompilationEngine
+from repro.errors import ProbabilityError
 from repro.probability.evaluation import probability
 from repro.testing import ProbabilityOracle, random_workload
 
@@ -155,16 +156,17 @@ def test_dnnf_evaluate_short_circuits_partial_valuations():
         dnnf.evaluate({"y": False})  # here x is genuinely needed
 
 
-def test_obdd_float_method_is_wired_end_to_end():
+def test_obdd_float_sweep_is_wired_end_to_end():
+    # The float kernels are reached on the compiled artifacts, not through a
+    # method name: every probability() route stays exact.
     case = random_workload(1, seed=99)[0]
     exact = probability(case.query, case.tid, method="obdd")
-    fast = probability(case.query, case.tid, method="obdd_float")
+    engine = CompilationEngine()
+    compiled = engine.compile(case.query, case.tid.instance)
+    fast = compiled.probability(case.tid.valuation(), exact=False)
     assert isinstance(fast, float)
     assert abs(fast - float(exact)) < 1e-9
-    engine = CompilationEngine()
-    cached = engine.probability(case.query, case.tid, method="obdd_float")
-    assert isinstance(cached, float)
-    assert cached == pytest.approx(fast)
-    # Served from the probability cache on the second call.
-    assert engine.probability(case.query, case.tid, method="obdd_float") == cached
-    assert engine.stats["probability"].hits >= 1
+    columnar = engine.columnar(case.query, case.tid.instance)
+    assert columnar.probability(case.tid.valuation(), exact=False) == pytest.approx(fast)
+    with pytest.raises(ProbabilityError):
+        probability(case.query, case.tid, method="obdd_float")
