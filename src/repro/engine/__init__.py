@@ -71,7 +71,10 @@ Compiled artifacts cross the process boundary as flat columnar buffers in
 :class:`~repro.engine.shm.SegmentPlane` owns the segments' lifecycle
 (create/attach/close/unlink, plus a prefix sweep of ``/dev/shm`` that
 reclaims segments orphaned by crashed workers), and only the tiny
-:class:`~repro.engine.shm.SegmentHandle` sidecars are pickled.
+:class:`~repro.engine.shm.SegmentHandle` sidecars are pickled.  Compiled
+batches therefore come back as :class:`~repro.booleans.columnar.ColumnarOBDD`
+values whatever the sharding (plain columns in the inline regime), each the
+columnar form of the worker engine's one cached OBDD artifact.
 
 Resilience
 ----------

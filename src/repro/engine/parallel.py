@@ -44,6 +44,8 @@ as :class:`repro.booleans.columnar.ColumnarOBDD` columns inside
 ``multiprocessing.shared_memory`` segments (:mod:`repro.engine.shm`): a
 worker *publishes* the flat ``var|lo|hi`` buffer and ships back only a tiny
 :class:`~repro.engine.shm.SegmentHandle`; the parent *attaches* zero-copy.
+The inline regime returns the same type as plain columns, so a caller of
+:meth:`ParallelEngine.map_compile` always gets ``ColumnarOBDD`` values.
 :meth:`ParallelEngine.reweight_many` runs the same plane in the other
 direction — the parent publishes one compiled artifact, every worker
 attaches to it and runs vectorized columnar sweeps for its share of the
@@ -51,8 +53,9 @@ probability assignments, which is the batch re-weighting workload where
 per-worker cost is exactly "an attach plus a sweep".
 
 Because the hot artifacts are acyclic int arrays rather than node-object
-graphs, workers run with the cyclic garbage collector frozen and disabled
-(``gc.freeze()`` + ``gc.disable()`` in the initializer, on by default):
+graphs, pool workers run with the cyclic garbage collector frozen and
+disabled (``gc.freeze()`` + ``gc.disable()`` in the initializer; the calling
+process is never touched):
 full GC passes rescanning millions of cached nodes were a measured ~2x drag
 on allocation-heavy shards.
 
@@ -70,7 +73,7 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -99,8 +102,6 @@ CompileItem = tuple[Query, Instance]
 Shard = list[tuple[int, tuple]]
 ShardOutcome = tuple[list[tuple[int, Any]], dict[str, CacheStats], dict[str, int]]
 ShardRunner = Callable[[tuple[Shard, Any]], ShardOutcome]
-
-_TRANSPORTS = ("auto", "shm", "object")
 
 
 def available_workers() -> int:
@@ -196,8 +197,9 @@ class ParallelReport:
 # The pool initializer builds one CompilationEngine per worker process; the
 # shard runners look it up through a module global.  Under the ``fork`` start
 # method the workload shards themselves are the only data pickled per task.
-# Workers also carry the plane prefix (for naming the segments they publish)
-# and a small LRU of attached shared artifacts for the reweight runner.
+# Workers also carry the plane prefix (for naming the segments they publish;
+# None in the inline regime, which publishes nothing) and a small LRU of
+# attached shared artifacts for the reweight runner.
 
 _WORKER_ENGINE: CompilationEngine | None = None
 _WORKER_PLANE_PREFIX: str | None = None
@@ -208,8 +210,7 @@ _WORKER_ATTACHMENT_LIMIT = 8
 
 def _init_worker(
     engine_options: dict[str, Any],
-    plane_prefix: str | None,
-    freeze_gc: bool,
+    plane_prefix: str,
     fault_plan: Any = None,
 ) -> None:
     global _WORKER_ENGINE, _WORKER_PLANE_PREFIX
@@ -221,13 +222,12 @@ def _init_worker(
         _WORKER_ENGINE.store.fault_plan = fault_plan
     _WORKER_PLANE_PREFIX = plane_prefix
     _WORKER_ATTACHMENTS.clear()
-    if freeze_gc:
-        # The hot artifacts are flat int columns (acyclic); full cyclic-GC
-        # passes over the interpreter state and the engine caches are pure
-        # overhead in a worker whose lifetime the pool already bounds.
-        gc.collect()
-        gc.freeze()
-        gc.disable()
+    # The hot artifacts are flat int columns (acyclic); full cyclic-GC
+    # passes over the interpreter state and the engine caches are pure
+    # overhead in a worker whose lifetime the pool already bounds.
+    gc.collect()
+    gc.freeze()
+    gc.disable()
 
 
 def _worker_engine() -> CompilationEngine:
@@ -271,7 +271,7 @@ def _reset_stats(engine: CompilationEngine) -> None:
     The router's route counts are reset with the cache counters.
     """
     for stats in engine.stats.values():
-        stats.hits = stats.misses = 0
+        stats.reset()
     engine.route_counts.clear()
 
 
@@ -283,30 +283,31 @@ def _run_probability_shard(payload: tuple[Shard, str]) -> ShardOutcome:
     return results, _stats_snapshot(engine), _routes_snapshot(engine)
 
 
-def _run_compile_shard(payload: tuple[Shard, tuple[bool, str]]) -> ShardOutcome:
-    shard, (use_path_decomposition, transport) = payload
+def _run_compile_shard(payload: tuple[Shard, bool]) -> ShardOutcome:
+    """Columnar artifacts of this shard: published into shared-memory
+    segments by a pool worker, returned as plain columns inline."""
+    shard, use_path_decomposition = payload
     engine = _worker_engine()
     _reset_stats(engine)
     results: list[tuple[int, Any]] = []
     for index, (query, instance) in shard:
-        if transport == "shm":
-            columnar = engine.columnar(query, instance, use_path_decomposition)
-            results.append((index, publish_segment(columnar, _worker_segment_name())))
-        elif transport == "columnar":
-            # Inline stand-in for "shm": same columnar representation, but
-            # with no process boundary there is no segment to publish.
-            results.append((index, engine.columnar(query, instance, use_path_decomposition)))
+        columnar = engine.columnar(query, instance, use_path_decomposition)
+        if _WORKER_PLANE_PREFIX is None:  # inline: no process boundary to cross
+            results.append((index, columnar))
         else:
-            results.append((index, engine.compile(query, instance, use_path_decomposition)))
+            results.append((index, publish_segment(columnar, _worker_segment_name())))
     return results, _stats_snapshot(engine), _routes_snapshot(engine)
 
 
-def _run_reweight_shard(payload: tuple[Shard, tuple[SegmentHandle, bool]]) -> ShardOutcome:
-    """Sweep one shared artifact under this shard's probability assignments."""
-    shard, (handle, exact) = payload
+def _run_reweight_shard(
+    payload: tuple[Shard, tuple[SegmentHandle | ColumnarOBDD, bool]],
+) -> ShardOutcome:
+    """Sweep one artifact (shared, or the caller's own inline) under this
+    shard's probability assignments."""
+    shard, (source, exact) = payload
     engine = _worker_engine()
     _reset_stats(engine)
-    artifact = _worker_attachment(handle)
+    artifact = source if isinstance(source, ColumnarOBDD) else _worker_attachment(source)
     # One matrix sweep over the whole shard: in the float regime the batch
     # kernel amortizes per-level overhead across every assignment at once.
     values = artifact.probability_many(
@@ -322,8 +323,7 @@ def _run_reweight_shard(payload: tuple[Shard, tuple[SegmentHandle, bool]]) -> Sh
 def _worker_loop(
     connection: Connection,
     engine_options: dict[str, Any],
-    plane_prefix: str | None,
-    freeze_gc: bool,
+    plane_prefix: str,
     fault_plan: Any = None,
 ) -> None:
     """Entry point of one pool worker process.
@@ -340,7 +340,7 @@ def _worker_loop(
         from repro.testing.faults import WorkerFaults
 
         faults = WorkerFaults(fault_plan)
-    _init_worker(engine_options, plane_prefix, freeze_gc, fault_plan)
+    _init_worker(engine_options, plane_prefix, fault_plan)
     while True:
         try:
             message = connection.recv()
@@ -403,7 +403,7 @@ class _WorkerPool:
         worker_args: tuple,
         max_shard_retries: int,
         retry_backoff: float,
-        plane: SegmentPlane | None,
+        plane: SegmentPlane,
     ) -> None:
         self._context = context
         self._worker_count = worker_count
@@ -501,7 +501,7 @@ class _WorkerPool:
                 worker.connection.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-            if self._plane is not None and pid is not None:
+            if pid is not None:
                 # Reclaim the dead worker's segments — except those already
                 # merged into completed outcomes, which the parent will adopt.
                 self._plane.sweep_worker_orphans(pid, _segment_names(outcomes.values()))
@@ -577,6 +577,12 @@ class _WorkerPool:
 class ParallelEngine:
     """Shard ``(query, instance)`` workloads across engine-owning workers.
 
+    Compiled artifacts travel one way only: as columnar OBDDs, through
+    shared-memory segments from pool workers (plain columns inline), so
+    :meth:`map_compile` always yields
+    :class:`~repro.booleans.columnar.ColumnarOBDD` values.  Pool workers run
+    with the cyclic garbage collector frozen and disabled.
+
     Parameters
     ----------
     workers:
@@ -588,13 +594,6 @@ class ParallelEngine:
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` when the
         platform offers it (cheap on Linux), else the platform default.
-    use_shared_memory:
-        Ship compiled artifacts through shared-memory segments (columnar
-        zero-copy transport) instead of pickling them.  Defaults to True;
-        only the pool regime ever creates segments.
-    freeze_worker_gc:
-        Freeze and disable the cyclic garbage collector in pool workers
-        (default True); the calling process is never touched.
     max_shard_retries:
         How many times one shard may be re-submitted after a worker crash
         or a retryable worker failure (``MemoryError`` /
@@ -616,8 +615,9 @@ class ParallelEngine:
         path string is what crosses the process boundary), so compiled
         artifacts persist across runs *and* across workers; a worker that
         loads a stored columnar artifact publishes it into shared memory
-        straight from the file mapping — no node-graph deserialization
-        anywhere on the path.
+        straight from the file mapping — the stored columns are the cached
+        artifact's columnar form, so nothing on the path rebuilds a node
+        graph.
     """
 
     def __init__(
@@ -625,8 +625,6 @@ class ParallelEngine:
         workers: int | None = None,
         engine_options: Mapping[str, Any] | None = None,
         start_method: str | None = None,
-        use_shared_memory: bool = True,
-        freeze_worker_gc: bool = True,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
         fault_plan: Any = None,
@@ -652,8 +650,6 @@ class ParallelEngine:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self.start_method = start_method
-        self.use_shared_memory = use_shared_memory
-        self.freeze_worker_gc = freeze_worker_gc
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff
         self.fault_plan = fault_plan
@@ -718,27 +714,15 @@ class ParallelEngine:
         runner: ShardRunner,
         extra: Any,
         group_key: Callable[[tuple], str] | None = None,
-        extra_inline: Any = None,
         recover: Callable[[], Any] | None = None,
     ) -> ParallelReport:
-        """Shard ``items`` and execute; ``extra_inline`` (when not None)
-        replaces ``extra`` in the inline regime — the compile path uses it to
-        force the object transport where no process boundary exists.
-        ``recover`` rebuilds ``extra`` after a retryable segment failure."""
-        if not items:
-            report = ParallelReport(
-                values=(),
-                workers=self.workers,
-                shard_sizes=(),
-                worker_stats=(),
-                worker_routes=(),
-            )
-            self.last_report = report
-            return report
+        """Shard ``items`` and execute; ``recover`` rebuilds ``extra`` after
+        a retryable segment failure."""
         shards = shard_workload(items, self.workers, group_key)
-        if self.workers == 1 or len(shards) == 1:
-            chosen = extra if extra_inline is None else extra_inline
-            report = self._run_inline(shards, runner, chosen)
+        if not shards:
+            report = self._merge([], [])
+        elif self.workers == 1 or len(shards) == 1:
+            report = self._run_inline(shards, runner, extra)
         else:
             report = self._run_pool(shards, runner, extra, recover)
         self.last_report = report
@@ -774,16 +758,11 @@ class ParallelEngine:
     ) -> ParallelReport:
         if self._pool is None:
             context = multiprocessing.get_context(self.start_method)
-            plane = self.segment_plane() if self.use_shared_memory else None
+            plane = self.segment_plane()
             self._pool = _WorkerPool(
                 context,
                 self.workers,
-                (
-                    self.engine_options,
-                    plane.prefix if plane is not None else None,
-                    self.freeze_worker_gc,
-                    self.fault_plan,
-                ),
+                (self.engine_options, plane.prefix, self.fault_plan),
                 max_shard_retries=self.max_shard_retries,
                 retry_backoff=self.retry_backoff,
                 plane=plane,
@@ -841,60 +820,26 @@ class ParallelEngine:
         self,
         pairs: Sequence[CompileItem],
         use_path_decomposition: bool = False,
-        transport: str = "auto",
     ) -> ParallelReport:
         """Compile a workload of ``(query, instance)`` pairs; full report.
 
-        Transport of the compiled artifacts back to the caller:
-
-        * ``"shm"`` — workers publish columnar columns into shared-memory
-          segments and return handles; the parent attaches zero-copy, so the
-          values are :class:`~repro.booleans.columnar.ColumnarOBDD` views
-          owned by this engine (valid until :meth:`close`);
-        * ``"object"`` — the artifacts are pickled back as
-          :class:`~repro.provenance.compile_obdd.CompiledOBDD` node graphs
-          (the pre-columnar behavior);
-        * ``"auto"`` (default) — ``"shm"`` when this engine runs a pool and
-          shared memory is enabled, else ``"object"``.
-
-        The inline regime (``workers=1``, or a workload that collapses to a
-        single shard) never creates segments — there is no process boundary
-        to cross.  ``"auto"`` resolves to ``"object"`` there; an explicit
-        ``"shm"`` still honors the *representation* and returns
-        :class:`ColumnarOBDD` values, built directly without a segment, so
-        the value types a caller sees depend only on the transport they
-        asked for, never on how the workload happened to shard.
+        Every value is a :class:`~repro.booleans.columnar.ColumnarOBDD`,
+        however the workload shards.  Pool workers publish each artifact's
+        columns into a shared-memory segment and return a handle; the parent
+        attaches zero-copy, so those values are views owned by this engine
+        (valid until :meth:`close`).  The inline regime (``workers=1``, or a
+        workload that collapses to a single shard) has no process boundary
+        to cross: it returns plain columns and creates no segment.
         """
-        if transport not in _TRANSPORTS:
-            raise CompilationError(
-                f"unknown transport {transport!r}; use one of {_TRANSPORTS}"
-            )
-        if transport == "auto":
-            transport = "shm" if self.use_shared_memory else "object"
-            inline_transport = "object"
-        elif transport == "shm":
-            inline_transport = "columnar"
-        else:
-            inline_transport = transport
-        if transport == "shm" and not self.use_shared_memory:
-            raise CompilationError("shared-memory transport is disabled on this engine")
-        report = self._run(
-            pairs,
-            _run_compile_shard,
-            (bool(use_path_decomposition), transport),
-            extra_inline=(bool(use_path_decomposition), inline_transport),
-        )
+        report = self._run(pairs, _run_compile_shard, bool(use_path_decomposition))
         if any(isinstance(value, SegmentHandle) for value in report.values):
             plane = self.segment_plane()
-            report = ParallelReport(
+            report = replace(
+                report,
                 values=tuple(
                     plane.adopt(value) if isinstance(value, SegmentHandle) else value
                     for value in report.values
                 ),
-                workers=report.workers,
-                shard_sizes=report.shard_sizes,
-                worker_stats=report.worker_stats,
-                worker_routes=report.worker_routes,
             )
             self.last_report = report
         return report
@@ -904,11 +849,11 @@ class ParallelEngine:
         queries: Sequence[Query],
         instance: Instance,
         use_path_decomposition: bool = False,
-        transport: str = "auto",
-    ) -> list[CompiledOBDD | ColumnarOBDD]:
-        """Compiled artifacts of a batch of queries against one instance."""
+    ) -> list[ColumnarOBDD]:
+        """Columnar compiled artifacts of a batch of queries against one
+        instance (see :meth:`map_compile`)."""
         report = self.map_compile(
-            [(query, instance) for query in queries], use_path_decomposition, transport
+            [(query, instance) for query in queries], use_path_decomposition
         )
         return list(report.values)
 
@@ -935,29 +880,15 @@ class ParallelEngine:
             compiled if isinstance(compiled, ColumnarOBDD) else compiled.to_columnar()
         )
         items = [(probabilities,) for probabilities in probability_maps]
-        if not items:
-            self._run(items, _run_reweight_shard, None)
-            return []
-        if self.workers == 1 or not self.use_shared_memory:
-            self._ensure_inline_engine()
-            values = columnar.probability_many(
-                [probabilities for (probabilities,) in items], exact=exact
-            )
-            self.last_report = ParallelReport(
-                values=tuple(values),
-                workers=self.workers,
-                shard_sizes=(len(items),),
-                worker_stats=(_stats_snapshot(self._inline_engine),),
-                worker_routes=(_routes_snapshot(self._inline_engine),),
-            )
-            return values
-        handle = self._publish_reweight_artifact(columnar)
+        # workers=1 has no process boundary: the inline shard sweeps the
+        # artifact itself, and no segment is published.
+        inline = self.workers == 1 or not items
+        source = columnar if inline else self._publish_reweight_artifact(columnar)
         report = self._run(
             items,
             _run_reweight_shard,
-            (handle, exact),
+            (source, exact),
             group_key=_reweight_group_key,
-            extra_inline=(handle, exact),
             # A worker that cannot attach (absent/corrupt segment) reports a
             # retryable SegmentError; republishing under a fresh name is the
             # recovery — retried shards then attach to the new segment.

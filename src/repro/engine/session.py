@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.booleans.columnar import ColumnarOBDD
 from repro.data.gaifman import gaifman_graph
@@ -99,6 +99,10 @@ class CacheStats:
         else:
             self.misses += 1
 
+    def reset(self) -> None:
+        """Zero every counter, quarantines included."""
+        self.hits = self.misses = self.quarantines = 0
+
     def __add__(self, other: "CacheStats") -> "CacheStats":
         if not isinstance(other, CacheStats):
             return NotImplemented
@@ -158,13 +162,17 @@ class _InstanceArtifacts:
     compiled: OrderedDict[tuple[UnionOfConjunctiveQueries, bool], CompiledOBDD] = field(
         default_factory=OrderedDict
     )
-    columnar: OrderedDict[tuple[UnionOfConjunctiveQueries, bool], ColumnarOBDD] = field(
-        default_factory=OrderedDict
-    )
 
 
 class CompilationEngine:
     """A memoizing session for lineage compilation and probability evaluation.
+
+    Per instance, the engine caches structural artifacts and, per (query,
+    fact order), one lineage and one compiled OBDD.  The compiled OBDD is
+    the only OBDD artifact: the ``obdd`` route sweeps it and
+    :meth:`columnar` hands out its columnar form, which the artifact
+    computes once and keeps (see :class:`~repro.provenance.compile_obdd.
+    CompiledOBDD`).
 
     Parameters
     ----------
@@ -193,9 +201,9 @@ class CompilationEngine:
     store:
         A persistent tier below the in-memory LRU caches: an opened
         :class:`~repro.store.ArtifactStore`, or a directory path (string or
-        ``Path``) to open one at.  Compiled columnar artifacts, lifted
-        plans, and tree encodings are then *read through* the store on a
-        memory miss (every lookup counted in ``stats["store"]``) and
+        ``Path``) to open one at.  Compiled OBDDs (in their columnar form),
+        lifted plans, and tree encodings are then *read through* the store
+        on a memory miss (every lookup counted in ``stats["store"]``) and
         *written behind* on a fresh build, so they survive process restarts
         and are shared by every engine pointed at the same directory.  A
         store entry that fails integrity verification is quarantined and
@@ -251,7 +259,6 @@ class CompilationEngine:
             "structure": CacheStats(),
             "lineage": CacheStats(),
             "obdd": CacheStats(),
-            "columnar": CacheStats(),
             "lifted_plan": CacheStats(),
             "probability": CacheStats(),
             "store": CacheStats(),
@@ -279,7 +286,7 @@ class CompilationEngine:
         self.route_counts.clear()
         self.last_decision = None
         for stats in self.stats.values():
-            stats.hits = stats.misses = stats.quarantines = 0
+            stats.reset()
         if self.store is not None:
             self._store_quarantines_seen = self.store.counters.quarantines
 
@@ -312,39 +319,30 @@ class CompilationEngine:
             self.stats["store"].quarantines += delta
             self._store_quarantines_seen = self.store.counters.quarantines
 
-    def _store_columnar_meta(
-        self, query: Query, instance: Instance, use_path: bool
-    ) -> dict[str, object]:
-        # The query's canonical text round-trips through parse_ucq, which is
-        # what lets ``store verify --repair`` re-derive the artifact from
-        # the entry's metadata plus the source instance alone.
-        return {
-            "kind": "columnar",
-            "query": canonical_query_text(query),
-            "use_path": bool(use_path),
-            "instance": instance.fingerprint,
-        }
-
-    def _store_load_columnar(
-        self, query: Query, instance: Instance, use_path: bool
-    ) -> ColumnarOBDD | None:
+    def _store_get(self, key: str, columnar: bool = False) -> tuple[bool, Any]:
+        """``(found, value)`` for ``key`` from the store (a columnar entry
+        when ``columnar``, else a pickled one); ``(False, None)`` without
+        a store."""
         if self.store is None:
-            return None
-        key = columnar_key(instance.fingerprint, query, use_path)
-        artifact = self.store.get_columnar(key)
-        self.stats["store"].record(artifact is not None)
+            return False, None
+        if columnar:
+            value: Any = self.store.get_columnar(key)
+            found = value is not None
+        else:
+            found, value = self.store.get_object(key)
+        self.stats["store"].record(found)
         self._sync_store_quarantines()
-        return artifact
+        return found, value
 
-    def _store_save_columnar(
-        self, query: Query, instance: Instance, use_path: bool, columnar: ColumnarOBDD
-    ) -> None:
+    def _store_put(self, key: str, value: Any, meta: dict[str, object]) -> None:
+        """Write a fresh artifact behind; a compiled OBDD is stored (and so
+        flattened) in its columnar form.  A no-op without a store."""
         if self.store is None:
             return
-        key = columnar_key(instance.fingerprint, query, use_path)
-        self.store.put_columnar(
-            key, columnar, self._store_columnar_meta(query, instance, use_path)
-        )
+        if isinstance(value, CompiledOBDD):
+            self.store.put_columnar(key, value.to_columnar(), meta)
+        else:
+            self.store.put_object(key, value, meta)
         self._sync_store_quarantines()
 
     # -- structural artifacts -------------------------------------------------
@@ -388,24 +386,21 @@ class CompilationEngine:
         fused_tree_encoding`), reusing the cached Gaifman graph."""
         slot = self._slot(instance)
         self.stats["structure"].record(slot.encoding is not None)
-        if slot.encoding is None and self.store is not None:
-            found, value = self.store.get_object(encoding_key(instance.fingerprint))
-            self.stats["store"].record(found)
-            self._sync_store_quarantines()
+        if slot.encoding is None:
+            key = encoding_key(instance.fingerprint)
+            found, value = self._store_get(key)
             if found:
                 nodes, root = value
                 slot.encoding = TreeEncoding(instance, nodes, root)
-        if slot.encoding is None:
-            slot.encoding = fused_tree_encoding(instance, sweep=self._sweep_of(instance))
-            if self.store is not None:
+            else:
+                slot.encoding = fused_tree_encoding(instance, sweep=self._sweep_of(instance))
                 # Persist only the instance-independent node table: the
                 # loading engine reattaches its own Instance object.
-                self.store.put_object(
-                    encoding_key(instance.fingerprint),
+                self._store_put(
+                    key,
                     (slot.encoding.nodes, slot.encoding.root),
                     {"kind": "tree_encoding", "instance": instance.fingerprint},
                 )
-                self._sync_store_quarantines()
         return slot.encoding
 
     def fact_order(self, instance: Instance, kind: str = "default") -> tuple[Fact, ...]:
@@ -453,31 +448,27 @@ class CompilationEngine:
     ) -> CompiledOBDD:
         """The (cached) OBDD compilation of the query's lineage on the instance.
 
-        With a persistent :attr:`store`, a memory miss first tries the
-        stored columnar form (rehydrated losslessly via
-        :meth:`CompiledOBDD.from_columnar` — no lineage enumeration, no
-        OBDD construction); a fresh build is flattened and written behind.
+        This is the engine's one OBDD artifact, keyed by (query, fact order):
+        :meth:`columnar` and the ``obdd`` route serve from it.  With a
+        persistent :attr:`store`, a memory miss first tries the stored
+        columnar form, which the artifact adopts as its own (no lineage
+        enumeration, no OBDD construction; the object diagram is rebuilt
+        only when an object kernel first needs it).  A fresh build is
+        flattened only to be written behind to the store.  ``stats["obdd"]``
+        counts memory hits and fresh builds; a store hit is counted in
+        ``stats["store"]`` alone.
         """
-        return self._compile(query, instance, bool(use_path_decomposition), probe_store=True)
-
-    def _compile(
-        self, query: Query, instance: Instance, use_path: bool, probe_store: bool
-    ) -> CompiledOBDD:
-        compiled = self._cached_compile(query, instance, use_path, probe_store)
+        use_path = bool(use_path_decomposition)
+        compiled = self._cached_compile(query, instance, use_path)
         if compiled is None:
-            lineage = self.lineage(query, instance)
-            order = self.fact_order(instance, "path" if use_path else "default")
-            compiled = self._keep_compiled(
-                query, instance, use_path, compile_lineage_to_obdd(lineage, order)
-            )
-            self._store_save_columnar(query, instance, use_path, compiled.to_columnar())
+            compiled = self._build(query, instance, use_path)
         return compiled
 
     def _cached_compile(
-        self, query: Query, instance: Instance, use_path: bool, probe_store: bool
+        self, query: Query, instance: Instance, use_path: bool
     ) -> CompiledOBDD | None:
-        """The compiled OBDD from memory, else (``probe_store``) from the
-        store; None when neither holds it.  Never enumerates lineage."""
+        """The compiled OBDD from memory, else from the store; None when
+        neither holds it.  Never enumerates lineage."""
         key = (as_ucq(query), use_path)
         slot = self._slot(instance)
         compiled = slot.compiled.get(key)
@@ -485,16 +476,40 @@ class CompilationEngine:
             self.stats["obdd"].record(True)
             slot.compiled.move_to_end(key)
             return compiled
-        stored = self._store_load_columnar(query, instance, use_path) if probe_store else None
-        if stored is None:
+        found, stored = self._store_get(
+            columnar_key(instance.fingerprint, query, use_path), columnar=True
+        )
+        if not found:
             return None
         return self._keep_compiled(query, instance, use_path, CompiledOBDD.from_columnar(stored))
+
+    def _build(self, query: Query, instance: Instance, use_path: bool) -> CompiledOBDD:
+        """Enumerate the lineage, compile it, cache it, and write it behind."""
+        self.stats["obdd"].record(False)
+        lineage = self.lineage(query, instance)
+        order = self.fact_order(instance, "path" if use_path else "default")
+        compiled = self._keep_compiled(
+            query, instance, use_path, compile_lineage_to_obdd(lineage, order)
+        )
+        # The query's canonical text round-trips through parse_ucq, which is
+        # what lets ``store verify --repair`` re-derive the artifact from
+        # the entry's metadata plus the source instance alone.
+        self._store_put(
+            columnar_key(instance.fingerprint, query, use_path),
+            compiled,
+            {
+                "kind": "columnar",
+                "query": canonical_query_text(query),
+                "use_path": use_path,
+                "instance": instance.fingerprint,
+            },
+        )
+        return compiled
 
     def _keep_compiled(
         self, query: Query, instance: Instance, use_path: bool, compiled: CompiledOBDD
     ) -> CompiledOBDD:
-        """Cache a freshly built or rehydrated OBDD (an ``obdd`` cache miss)."""
-        self.stats["obdd"].record(False)
+        """Cache a freshly built or stored OBDD."""
         slot = self._slot(instance)
         slot.compiled[(as_ucq(query), use_path)] = compiled
         while len(slot.compiled) > self._max_queries_per_instance:
@@ -517,44 +532,15 @@ class CompilationEngine:
     def columnar(
         self, query: Query, instance: Instance, use_path_decomposition: bool = False
     ) -> ColumnarOBDD:
-        """The (cached) columnar form of the compiled OBDD.
+        """The columnar form of the (cached) compiled OBDD.
 
-        Keyed exactly like :meth:`compile` (the columnar artifact is a
-        lossless flattening of the object artifact, so it shares the same
-        fingerprinted identity); built on demand from the cached
-        :class:`CompiledOBDD` and LRU-trimmed with the same per-instance
-        bound.  This is the artifact the parallel tier ships through shared
-        memory and the vectorized sweeps run on.
+        ``compile(...).to_columnar()``: the same cached artifact, counted in
+        ``stats["obdd"]``, flattened once on first request and kept on it.
+        A store hit hands back the stored columns themselves, with no
+        rehydration and no re-flattening.  This is the artifact the parallel
+        tier ships through shared memory and the vectorized sweeps run on.
         """
-        key = (as_ucq(query), bool(use_path_decomposition))
-        use_path = bool(use_path_decomposition)
-        slot = self._slot(instance)
-        hit = key in slot.columnar
-        self.stats["columnar"].record(hit)
-        if hit:
-            slot.columnar.move_to_end(key)
-            if key in slot.compiled:
-                # Keep the source object artifact's LRU slot warm too: a hot
-                # columnar view should not see its compiled source evicted.
-                self.compile(query, instance, use_path_decomposition)
-        else:
-            artifact: ColumnarOBDD | None = None
-            probed = False
-            if key not in slot.compiled:
-                # Read through the persistent tier first: a store hit is a
-                # verified memory-mapped artifact, served with no lineage
-                # enumeration and no OBDD construction at all.
-                artifact = self._store_load_columnar(query, instance, use_path)
-                probed = True
-            if artifact is None:
-                artifact = self._compile(
-                    query, instance, use_path, probe_store=not probed
-                ).to_columnar()
-                self._store_save_columnar(query, instance, use_path, artifact)
-            slot.columnar[key] = artifact
-            while len(slot.columnar) > self._max_queries_per_instance:
-                slot.columnar.popitem(last=False)
-        return slot.columnar[key]
+        return self.compile(query, instance, use_path_decomposition).to_columnar()
 
     # -- lifted plans and the dichotomy router --------------------------------
 
@@ -571,25 +557,16 @@ class CompilationEngine:
         if hit:
             self._lifted_plans.move_to_end(key)
         else:
-            plan: LiftedPlan | None = None
-            found = False
-            if self.store is not None:
-                # The pickle codec round-trips the None verdict for unsafe
-                # queries too, so minimization never re-runs after a restart.
-                found, value = self.store.get_object(plan_key(key))
-                self.stats["store"].record(found)
-                self._sync_store_quarantines()
-                if found:
-                    plan = value
+            # The pickle codec round-trips the None verdict for unsafe
+            # queries too, so minimization never re-runs after a restart.
+            found, plan = self._store_get(plan_key(key))
             if not found:
                 plan = try_lifted_plan(key)
-                if self.store is not None:
-                    self.store.put_object(
-                        plan_key(key),
-                        plan,
-                        {"kind": "lifted_plan", "query": canonical_query_text(key)},
-                    )
-                    self._sync_store_quarantines()
+                self._store_put(
+                    plan_key(key),
+                    plan,
+                    {"kind": "lifted_plan", "query": canonical_query_text(key)},
+                )
             self._lifted_plans[key] = plan
             while len(self._lifted_plans) > self._max_probability_entries:
                 self._lifted_plans.popitem(last=False)
@@ -841,15 +818,14 @@ class CompilationEngine:
         read-once-shaped lineage is then evaluated directly, with no OBDD.
         """
         instance = tid.instance
-        use_path = self._compiled_order(query, instance)
         compiled = self._cached_compile(
-            query, instance, bool(use_path), probe_store=use_path is None
+            query, instance, bool(self._compiled_order(query, instance))
         )
         if compiled is None:
             lineage = self.lineage(query, instance)
             if lineage.is_read_once_shaped():
                 return _read_once_probability(lineage, tid)
-            compiled = self._compile(query, instance, False, probe_store=False)
+            compiled = self._build(query, instance, False)
         return compiled.probability(tid.valuation())
 
 

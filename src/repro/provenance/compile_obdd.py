@@ -16,8 +16,7 @@ Theorems 6.5 and 6.7 that the benchmark harness charts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.booleans.circuit import BooleanCircuit
 from repro.booleans.dnnf import DNNF, dnnf_from_obdd
@@ -33,8 +32,10 @@ from repro.provenance.variable_orders import (
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 
+if TYPE_CHECKING:
+    from repro.booleans.columnar import ColumnarOBDD
 
-@dataclass
+
 class CompiledOBDD:
     """The result of compiling a lineage into an OBDD.
 
@@ -43,12 +44,38 @@ class CompiledOBDD:
     computes size, width, and model count together, and the result is cached
     on the compiled object (the diagram is immutable), so ``size`` and
     ``width`` cost one shared pass instead of one walk each.
+
+    The artifact has two lossless forms, each materialized at most once: the
+    object diagram (``manager``/``root``) and the flat columnar form
+    (:meth:`to_columnar`).  A compiled artifact flattens only when a caller
+    first asks for the columns; one built by :meth:`from_columnar` adopts
+    the given columns and rebuilds the object diagram only when an
+    object-kernel caller first needs it.
     """
 
-    manager: OBDD
-    root: int
-    order: tuple[Fact, ...]
-    _stats: "SweepResult | None" = field(default=None, repr=False, compare=False)
+    def __init__(self, manager: OBDD, root: int, order: tuple[Fact, ...]) -> None:
+        self._manager: OBDD | None = manager
+        self._root = root
+        self.order = tuple(order)
+        self._stats: SweepResult | None = None
+        self._columnar: "ColumnarOBDD | None" = None
+
+    def __repr__(self) -> str:
+        return f"CompiledOBDD(over {len(self.order)} facts)"
+
+    def _diagram(self) -> tuple[OBDD, int]:
+        if self._manager is None:
+            assert self._columnar is not None  # from_columnar set it
+            self._manager, self._root = self._columnar.to_obdd()
+        return self._manager, self._root
+
+    @property
+    def manager(self) -> OBDD:
+        return self._diagram()[0]
+
+    @property
+    def root(self) -> int:
+        return self._diagram()[1]
 
     def stats(self) -> "SweepResult":
         """Size, width, and model count from one (cached) fused sweep."""
@@ -80,20 +107,33 @@ class CompiledOBDD:
     def to_dnnf(self) -> DNNF:
         return dnnf_from_obdd(self.manager, self.root)
 
-    def to_columnar(self):
+    def to_columnar(self) -> "ColumnarOBDD":
         """The artifact as a :class:`repro.booleans.columnar.ColumnarOBDD`.
 
         The columnar form is the shippable one: flat int64 columns that pack
         into a single buffer (shared-memory segments, mmap files) and sweep
-        vectorized; the conversion is lossless (:meth:`from_columnar`).
+        vectorized; the conversion is lossless (:meth:`from_columnar`).  It
+        is computed on the first call and kept, so every later caller gets
+        the same columns.
         """
-        return self.manager.to_columnar(self.root, self.order)
+        if self._columnar is None:
+            self._columnar = self.manager.to_columnar(self.root, self.order)
+        return self._columnar
 
     @classmethod
-    def from_columnar(cls, columnar) -> "CompiledOBDD":
-        """Rebuild an object-kernel artifact from its columnar form."""
-        manager, root = columnar.to_obdd()
-        return cls(manager, root, tuple(columnar.order))
+    def from_columnar(cls, columnar: "ColumnarOBDD") -> "CompiledOBDD":
+        """The artifact whose columnar form is ``columnar`` (kept as is).
+
+        No node is rebuilt here: the object diagram is rehydrated from the
+        columns on first use of an object-kernel method.
+        """
+        compiled = cls.__new__(cls)
+        compiled._manager = None
+        compiled._root = 0
+        compiled.order = tuple(columnar.order)
+        compiled._stats = None
+        compiled._columnar = columnar
+        return compiled
 
 
 def compile_lineage_to_obdd(

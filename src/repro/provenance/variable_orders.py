@@ -27,16 +27,8 @@ def fact_order_from_tree_decomposition(
     """Facts ordered by the pre-order position of their topmost covering bag."""
     if decomposition is None:
         decomposition = tree_decomposition(gaifman_graph(instance))
-    order = decomposition.topological_order()
-    position = {node: index for index, node in enumerate(order)}
-    placement: dict[Fact, int] = {}
-    for f in instance:
-        elements = set(f.elements())
-        covering = [node for node in order if elements <= decomposition.bags[node]]
-        if not covering:
-            raise CompilationError(f"no bag covers the fact {f}")
-        placement[f] = min(position[node] for node in covering)
-    return sorted(instance.facts, key=lambda f: (placement[f], _fact_key(f)))
+    bags = [decomposition.bags[node] for node in decomposition.topological_order()]
+    return _order_by_first_covering_bag(instance, bags)
 
 
 def fact_order_from_path_decomposition(
@@ -45,13 +37,33 @@ def fact_order_from_path_decomposition(
     """Facts ordered by the first path bag that covers them (left to right)."""
     if decomposition is None:
         decomposition = path_decomposition(gaifman_graph(instance))
+    return _order_by_first_covering_bag(instance, decomposition.bags)
+
+
+def _order_by_first_covering_bag(
+    instance: Instance, bags: Sequence[frozenset]
+) -> list[Fact]:
+    """Facts ordered by the index of the first bag in ``bags`` covering them.
+
+    Candidate bags come from an element -> bag-index occurrence index: only
+    the bags holding a fact's rarest element are tested, in ascending index
+    order, so the first that covers the fact is its placement.
+    """
+    occurrences: dict[Any, list[int]] = {}
+    for index, bag in enumerate(bags):
+        for element in bag:
+            occurrences.setdefault(element, []).append(index)
     placement: dict[Fact, int] = {}
     for f in instance:
         elements = set(f.elements())
-        covering = [index for index, bag in enumerate(decomposition.bags) if elements <= bag]
-        if not covering:
+        candidates: Sequence[int] = range(len(bags))
+        if elements:
+            rarest = min(elements, key=lambda e: len(occurrences.get(e, ())))
+            candidates = occurrences.get(rarest, ())
+        first = next((index for index in candidates if elements <= bags[index]), None)
+        if first is None:
             raise CompilationError(f"no bag covers the fact {f}")
-        placement[f] = min(covering)
+        placement[f] = first
     return sorted(instance.facts, key=lambda f: (placement[f], _fact_key(f)))
 
 

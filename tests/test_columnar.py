@@ -240,10 +240,13 @@ def test_engine_columnar_cache_hits(cases):
     first = engine.columnar(case.query, case.tid.instance)
     again = engine.columnar(case.query, case.tid.instance)
     assert again is first
-    assert engine.stats["columnar"].hits == 1
-    assert engine.stats["columnar"].misses == 1
+    # The columnar form lives on the one cached compiled OBDD.
+    assert engine.compile(case.query, case.tid.instance).to_columnar() is first
+    assert engine.stats["obdd"].hits == 2
+    assert engine.stats["obdd"].misses == 1
+    assert "columnar" not in engine.cache_info()
     value = oracle_probability(case.query, case.tid, "columnar", engine=engine)
-    assert engine.stats["columnar"].hits == 2
+    assert engine.stats["obdd"].hits == 3
     assert value == engine.probability(case.query, case.tid, method="obdd")
 
 

@@ -121,7 +121,7 @@ def test_worker_kill_during_shm_compile_leaves_no_orphans(injector, workload):
         workers=2, fault_plan=injector.plan, retry_backoff=0.01
     ) as parallel:
         prefix = parallel.segment_plane().prefix
-        report = parallel.map_compile(pairs, transport="shm")
+        report = parallel.map_compile(pairs)
         for mine, reference in zip(report.values, serial):
             assert mine.probability(tid.valuation()) == reference.probability(
                 tid.valuation()
@@ -202,7 +202,7 @@ def test_context_exit_releases_everything_when_body_raises(workload):
     pairs = [(query, tid.instance) for query in (unsafe_rst(), hierarchical_example())]
     with pytest.raises(RuntimeError, match="mid-batch"):
         with ParallelEngine(workers=2) as parallel:
-            parallel.map_compile(pairs, transport="shm")
+            parallel.map_compile(pairs)
             prefix = parallel.segment_plane().prefix
             assert live_segments(prefix), "the batch should have published segments"
             raise RuntimeError("mid-batch failure")

@@ -195,65 +195,25 @@ def test_close_drops_worker_caches_deterministically(workload):
     assert ref() is None, "close() left a cached compiled artifact alive"
 
 
-def test_map_compile_object_transport_in_pool_regime(workload):
-    from repro.provenance.compile_obdd import CompiledOBDD
-
-    _, tid = workload[0]
-    queries = [unsafe_rst(), hierarchical_example()]
-    with ParallelEngine(workers=2) as parallel:
-        artifacts = parallel.compile_many(queries, tid.instance, transport="object")
-        assert all(isinstance(artifact, CompiledOBDD) for artifact in artifacts)
-        # The plane exists (workers get the prefix at pool startup) but the
-        # object transport never put a segment in it.
-        assert parallel.segment_plane().owned_segments() == ()
-
-
-def test_map_compile_shm_transport_in_pool_regime(workload):
+@pytest.mark.parametrize("workers,batch", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_compile_many_returns_only_columnar(workers, batch, workload):
+    """One value type whatever the sharding: segment views from the pool,
+    plain columns inline (a one-query batch collapses to the inline regime)."""
     from repro.booleans.columnar import ColumnarOBDD
 
     _, tid = workload[0]
-    queries = [unsafe_rst(), hierarchical_example()]
+    queries = [unsafe_rst(), hierarchical_example()][:batch]
     serial = CompilationEngine().compile_many(queries, tid.instance)
-    with ParallelEngine(workers=2) as parallel:
-        artifacts = parallel.compile_many(queries, tid.instance, transport="shm")
-        assert all(isinstance(artifact, ColumnarOBDD) for artifact in artifacts)
+    with ParallelEngine(workers=workers) as parallel:
+        artifacts = parallel.compile_many(queries, tid.instance)
+        assert [type(artifact) for artifact in artifacts] == [ColumnarOBDD] * batch
         for mine, reference in zip(artifacts, serial):
             assert mine.probability(tid.valuation()) == reference.probability(
                 tid.valuation()
             )
-
-
-def test_map_compile_shm_transport_in_inline_regime(workload):
-    """Explicit "shm" honors the columnar representation even when the
-    workload collapses to the inline regime — and still creates no segment."""
-    from repro.booleans.columnar import ColumnarOBDD
-
-    _, tid = workload[0]
-    reference = CompilationEngine().compile(unsafe_rst(), tid.instance)
-    for parallel in (ParallelEngine(workers=1), ParallelEngine(workers=2)):
-        with parallel:
-            # One query -> one shard -> inline, whatever the worker count.
-            artifacts = parallel.compile_many(
-                [unsafe_rst()], tid.instance, transport="shm"
-            )
-            assert isinstance(artifacts[0], ColumnarOBDD)
-            assert artifacts[0].probability(tid.valuation()) == reference.probability(
-                tid.valuation()
-            )
-            if parallel._plane is not None:
-                assert parallel._plane.owned_segments() == ()
-
-
-def test_map_compile_rejects_unknown_transport(workload):
-    _, tid = workload[0]
-    with pytest.raises(CompilationError):
-        ParallelEngine(workers=2).map_compile(
-            [(unsafe_rst(), tid.instance)], transport="carrier-pigeon"
-        )
-    with pytest.raises(CompilationError):
-        ParallelEngine(workers=2, use_shared_memory=False).map_compile(
-            [(unsafe_rst(), tid.instance)], transport="shm"
-        )
+        plane = parallel._plane
+        published = plane.owned_segments() if plane is not None else ()
+        assert len(published) == (batch if parallel.last_report.shard_count > 1 else 0)
 
 
 def test_reweight_many_matches_direct_evaluation(workload):

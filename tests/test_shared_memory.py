@@ -221,7 +221,7 @@ def test_inline_regime_never_creates_segments(workload, monkeypatch):
     monkeypatch.setattr(shm_module.shared_memory, "SharedMemory", forbidden)
     engine = ParallelEngine(workers=1)
     artifacts = engine.compile_many(queries, tids[0].instance)
-    assert all(type(artifact).__name__ == "CompiledOBDD" for artifact in artifacts)
+    assert all(type(artifact).__name__ == "ColumnarOBDD" for artifact in artifacts)
     maps = [{fact: Fraction(1, 3) for fact in artifacts[0].order}]
     assert engine.reweight_many(artifacts[0], maps) == [
         artifacts[0].probability(maps[0])

@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import pytest
 
+from repro.booleans.columnar import ColumnarOBDD
+from repro.booleans.obdd import OBDD
 from repro.cli import main
 from repro.data.io import save_instance
 from repro.data.tid import ProbabilisticInstance
@@ -62,6 +64,21 @@ def shared_tid():
     # (and writes behind) an OBDD instead of taking the read-once shortcut.
     instance = labelled_partial_ktree_instance(24, 2, seed=3)
     return ProbabilisticInstance.uniform(instance, Fraction(1, 2))
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Names of the flatten/rehydrate adapters called while the test runs."""
+    calls: list[str] = []
+    for owner, name in ((OBDD, "to_columnar"), (ColumnarOBDD, "to_obdd")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _label=f"{owner.__name__}.{name}"):
+            calls.append(_label)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -336,9 +353,9 @@ class TestEngineWiring:
         assert again == value
         assert warm.stats["store"].hits == 1
         # The restart answered without touching the compilation pipeline:
-        # the one OBDD memory miss was served by the store.
+        # the store served the OBDD, so the obdd cache counts no build.
         assert warm.stats["lineage"].misses == 0
-        assert warm.stats["obdd"].misses == 1
+        assert warm.stats["obdd"].misses == 0
 
     def test_warm_store_enumerates_no_lineage(self, tmp_path, shared_tid, monkeypatch):
         root = tmp_path / "store"
@@ -373,6 +390,35 @@ class TestEngineWiring:
         assert warm.stats["obdd"].total == 0
         valuation = shared_tid.valuation()
         assert loaded.probability(valuation) == built.probability(valuation)
+
+    def test_columnar_store_hit_neither_rehydrates_nor_flattens(
+        self, tmp_path, shared_tid, kernel_calls
+    ):
+        root = tmp_path / "store"
+        CompilationEngine(store=root).columnar(unsafe_rst(), shared_tid.instance)
+        kernel_calls.clear()
+        warm = CompilationEngine(store=root)
+        loaded = warm.columnar(unsafe_rst(), shared_tid.instance)
+        assert warm.columnar(unsafe_rst(), shared_tid.instance) is loaded
+        assert warm.stats["store"].hits == 1
+        assert kernel_calls == []
+        # The same holds through a worker that ships the stored columns.
+        with ParallelEngine(workers=1, store=root) as pool:
+            shipped = pool.compile_many([unsafe_rst()], shared_tid.instance)
+        assert pool.last_report.stats["store"].hits == 1
+        assert kernel_calls == []
+        valuation = shared_tid.valuation()
+        assert shipped[0].probability(valuation) == loaded.probability(valuation)
+
+    def test_cold_build_flattens_only_for_the_store(
+        self, tmp_path, shared_tid, kernel_calls
+    ):
+        CompilationEngine().probability(unsafe_rst(), shared_tid, method="obdd")
+        assert kernel_calls == []
+        CompilationEngine(store=tmp_path / "store").probability(
+            unsafe_rst(), shared_tid, method="obdd"
+        )
+        assert kernel_calls == ["OBDD.to_columnar"]
 
     def test_corrupted_entry_recompiles_exactly_and_surfaces_quarantine(
         self, tmp_path, shared_tid
@@ -455,6 +501,23 @@ class TestEngineWiring:
         merged = report.stats
         assert merged["store"].hits == len(queries)
         assert merged["lineage"].misses == 0
+
+    def test_parallel_report_counts_each_quarantine_once(self, tmp_path, shared_tid):
+        root = tmp_path / "store"
+        CompilationEngine(store=root).probability(unsafe_rst(), shared_tid, method="obdd")
+        corrupt_last_byte(entry_files(ArtifactStore(root))[0])
+        with ParallelEngine(workers=1, store=root) as pool:
+            first = pool.map_probability([(unsafe_rst(), shared_tid)], "obdd")
+            assert first.stats["store"].quarantines == 1
+            second = pool.map_probability(
+                [(parse_ucq("S(x, y), S(y, z)"), shared_tid)], "obdd"
+            )
+            assert second.stats["store"].misses == 1
+            assert second.stats["store"].quarantines == 0
+            compiled = CompilationEngine().compile(unsafe_rst(), shared_tid.instance)
+            pool.reweight_many(compiled, [shared_tid.valuation()])
+            reweighted = pool.last_report.stats
+            assert all(not stats.total and not stats.quarantines for stats in reweighted.values())
 
     def test_parallel_store_accepts_open_store(self, tmp_path, shared_tid):
         opened = ArtifactStore(tmp_path / "store")
