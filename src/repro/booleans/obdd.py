@@ -18,9 +18,10 @@ operation caches are keyed by packed integers (``(left << 34) | (right << 2)
 manager level exactly like ``apply`` results.
 
 Measurements share one **fused sweep kernel** (:meth:`OBDD.sweep`): a single
-reverse-topological pass over the reachable node array computes probability,
-model count, size, and width together, with a float fast path and an exact
-:class:`~fractions.Fraction` fallback.  Monotone DNFs are compiled by a
+reverse-topological pass over the reachable node array computes float
+probability, model count, size, and width together; the exact probability is
+its own integer pass over one common denominator that builds a single
+:class:`~fractions.Fraction` at the end.  Monotone DNFs are compiled by a
 trie-driven bottom-up construction (:meth:`OBDD.build_from_clauses`) instead
 of a clause-by-clause ``apply`` fold; the seed fold survives as a
 differential reference in :mod:`repro.booleans.reference`.
@@ -353,7 +354,9 @@ class OBDD:
         is produced by the same sweep instead of one recursive walk each.
         ``probabilities`` triggers the probability computation; ``exact=True``
         (the default, and the contract of every exact route in this library)
-        computes with :class:`~fractions.Fraction`; ``exact=False`` runs a
+        computes in integers over one common denominator and returns a
+        :class:`~fractions.Fraction` (:meth:`_exact_probability`);
+        ``exact=False`` runs a
         float fast path whose result is always a float in ``[0, 1]``: gross
         degeneracy (non-finite, or off by more than 1e-9) falls back to the
         exact kernel (then coerced to float), and sub-tolerance rounding
@@ -415,55 +418,60 @@ class OBDD:
         budget = _resilience.ACTIVE
         if budget is not None:
             budget.checkpoint()
-        countdown = _CHECKPOINT_STRIDE
 
-        prob_of_level: dict[int, Fraction | float] = {}
+        probability_value: Fraction | float | None = None
+        if want_probability and exact:
+            probability_value = self._exact_probability(node, reachable, probabilities)
+        want_float = want_probability and not exact
 
-        def level_probability(level: int) -> Fraction | float:
+        prob_of_level: dict[int, float] = {}
+
+        def level_probability(level: int) -> float:
             p = prob_of_level.get(level)
             if p is None:
                 variable = self._order[level]
                 if variable not in probabilities:
                     raise LineageError(f"missing probability for variable {variable!r}")
-                raw = probabilities[variable]
-                p = (raw if isinstance(raw, Fraction) else Fraction(raw)) if exact else float(raw)
+                p = float(probabilities[variable])
                 prob_of_level[level] = p
             return p
 
-        prob_values: dict[int, Fraction | float] | None = None
-        if want_probability:
-            one = Fraction(1) if exact else 1.0
-            zero = Fraction(0) if exact else 0.0
-            prob_values = {FALSE_NODE: zero, TRUE_NODE: one}
+        prob_values: dict[int, float] | None = (
+            {FALSE_NODE: 0.0, TRUE_NODE: 1.0} if want_float else None
+        )
         count_values: dict[int, int] | None = {TRUE_NODE: 1, FALSE_NODE: 0} if want_count else None
         # For the width, each distinct edge target is live exactly at the cuts
         # L with min_source_level(target) < L <= landing(target); the maximum
         # number of simultaneously live targets over all cuts is the width.
         min_source: dict[int, int] | None = {} if want_width else None
 
-        for current in reachable:
-            if budget is not None:
-                countdown -= 1
-                if countdown == 0:
-                    countdown = _CHECKPOINT_STRIDE
-                    budget.checkpoint()
-            level, low, high = nodes[current]
-            if want_probability:
-                p = level_probability(level)
-                prob_values[current] = (
-                    p * prob_values[high] + (1 - p) * prob_values[low]
-                )
-            if want_count:
-                low_landing = nodes[low][0] if low > TRUE_NODE else n
-                high_landing = nodes[high][0] if high > TRUE_NODE else n
-                count_values[current] = (count_values[low] << (low_landing - level - 1)) + (
-                    count_values[high] << (high_landing - level - 1)
-                )
-            if want_width:
-                for child in (low, high):
-                    known = min_source.get(child)
-                    if known is None or level < known:
-                        min_source[child] = level
+        if want_float or want_count or want_width:
+            countdown = _CHECKPOINT_STRIDE
+            for current in reachable:
+                if budget is not None:
+                    countdown -= 1
+                    if countdown == 0:
+                        countdown = _CHECKPOINT_STRIDE
+                        budget.checkpoint()
+                level, low, high = nodes[current]
+                if want_float:
+                    p = level_probability(level)
+                    prob_values[current] = (
+                        p * prob_values[high] + (1 - p) * prob_values[low]
+                    )
+                if want_count:
+                    low_landing = nodes[low][0] if low > TRUE_NODE else n
+                    high_landing = nodes[high][0] if high > TRUE_NODE else n
+                    count_values[current] = (count_values[low] << (low_landing - level - 1)) + (
+                        count_values[high] << (high_landing - level - 1)
+                    )
+                if want_width:
+                    for child in (low, high):
+                        known = min_source.get(child)
+                        if known is None or level < known:
+                            min_source[child] = level
+            if want_float:
+                probability_value = prob_values[node]
 
         width_value: int | None = None
         if want_width:
@@ -492,10 +500,43 @@ class OBDD:
 
         return SweepResult(
             size=len(reachable),
-            probability=prob_values[node] if want_probability else None,
+            probability=probability_value,
             model_count=model_count_value,
             width=width_value,
         )
+
+    def _exact_probability(
+        self,
+        node: int,
+        reachable: list[int],
+        probabilities: Mapping[Hashable, Fraction | float],
+    ) -> Fraction:
+        """The exact probability pass, in integers over one common denominator.
+
+        ``reachable`` is in reverse topological order.  With ``p = a/d`` at
+        each level and ``D`` the product of the reachable levels' ``d``,
+        every node value times ``D`` is an integer (a node's probability is
+        multilinear in the level probabilities), so each node computes
+        ``V = (a*V[hi] + (d-a)*V[lo]) // d`` exactly and one
+        ``Fraction(V[root], D)`` at the end replaces a gcd per node.
+        """
+        nodes = self._nodes
+        weights, common = common_denominator_weights(
+            self._order, [nodes[current][0] for current in reachable], probabilities
+        )
+        values = {FALSE_NODE: 0, TRUE_NODE: common}
+        budget = _resilience.ACTIVE
+        countdown = _CHECKPOINT_STRIDE
+        for current in reachable:
+            if budget is not None:
+                countdown -= 1
+                if countdown == 0:
+                    countdown = _CHECKPOINT_STRIDE
+                    budget.checkpoint()
+            level, low, high = nodes[current]
+            a, b, d = weights[level]
+            values[current] = (a * values[high] + b * values[low]) // d
+        return Fraction(values[node], common)
 
     def probability(self, node: int, probabilities: Mapping[Hashable, Fraction | float]) -> Fraction:
         """Exact probability that the function is true under independent variables."""
@@ -667,6 +708,34 @@ class OBDD:
             compiled[trie_node] = acc
             stack.pop()
         return compiled[0]
+
+
+def common_denominator_weights(
+    order: Sequence[Hashable],
+    levels: Iterable[int],
+    probabilities: Mapping[Hashable, Fraction | float],
+) -> tuple[dict[int, tuple[int, int, int]], int]:
+    """Integer weights for an exact sweep over one common denominator.
+
+    Maps each distinct level in ``levels`` (in first-seen order, so a missing
+    probability is reported for the first level the sweep would reach) to
+    ``(a, d - a, d)`` with ``p = a/d`` in lowest terms, and returns the
+    product ``D`` of those ``d``.
+    """
+    weights: dict[int, tuple[int, int, int]] = {}
+    common = 1
+    for level in levels:
+        if level in weights:
+            continue
+        variable = order[level]
+        if variable not in probabilities:
+            raise LineageError(f"missing probability for variable {variable!r}")
+        raw = probabilities[variable]
+        p = raw if isinstance(raw, Fraction) else Fraction(raw)
+        a, d = p.numerator, p.denominator
+        weights[level] = (a, d - a, d)
+        common *= d
+    return weights, common
 
 
 def minimal_obdd_width(

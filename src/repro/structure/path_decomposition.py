@@ -5,14 +5,23 @@ pathwidth of a graph is the minimum width of a path decomposition.  Constant-
 width OBDDs on bounded-pathwidth instances (Theorem 6.7) rely on a variable
 order following a path decomposition.
 
-We compute path decompositions with a vertex-separation heuristic (greedy +
-local search) and an exact search for small graphs, and can also flatten a
-tree decomposition into a path decomposition (width at most (w+1)*depth - 1,
-used only as a fallback).
+We compute path decompositions with a greedy vertex-separation heuristic and
+an exact search for small graphs, and can also flatten a tree decomposition
+into a path decomposition (width at most (w+1)*depth - 1, used only as a
+fallback).
+
+The heuristic front-end is near-linear: :func:`greedy_path_order` keeps
+per-vertex counters and a lazily invalidated heap, so placing a vertex
+re-scores only the vertices whose key it changed;
+:func:`path_decomposition_from_order` expires active vertices from a
+last-needed bucket index; :meth:`PathDecomposition.validate` is one pass over
+an element→bag-index occurrence index.  The seed quadratic versions survive
+as differential oracles in :mod:`repro.structure.reference`.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Sequence
 
 from repro.errors import DecompositionError
@@ -50,17 +59,33 @@ class PathDecomposition:
         return list(seen)
 
     def validate(self, graph: Graph) -> None:
-        covered = set()
-        for bag in self._bags:
-            covered |= bag
-        if set(graph.vertices) - covered:
+        """Raise :class:`DecompositionError` unless this is a path
+        decomposition of ``graph``: coverage, then edges, then contiguity.
+
+        One pass builds an element→bag-index occurrence index; an edge
+        between two contiguous vertices is then an interval-intersection
+        test, and any other edge scans the shorter occurrence list (interval
+        intersection alone would accept a gap on non-contiguous input).
+        """
+        bags = self._bags
+        occurrences: dict[Any, list[int]] = {}
+        for i, bag in enumerate(bags):
+            for element in bag:
+                occurrences.setdefault(element, []).append(i)
+        if any(vertex not in occurrences for vertex in graph.vertices):
             raise DecompositionError("path decomposition does not cover all vertices")
         for u, v in graph.edges():
-            if not any(u in bag and v in bag for bag in self._bags):
+            u_indices, v_indices = occurrences[u], occurrences[v]
+            if _is_contiguous(u_indices) and _is_contiguous(v_indices):
+                covered = max(u_indices[0], v_indices[0]) <= min(u_indices[-1], v_indices[-1])
+            elif len(u_indices) <= len(v_indices):
+                covered = any(v in bags[i] for i in u_indices)
+            else:
+                covered = any(u in bags[i] for i in v_indices)
+            if not covered:
                 raise DecompositionError(f"edge ({u!r}, {v!r}) not covered")
         for vertex in graph.vertices:
-            indices = [i for i, bag in enumerate(self._bags) if vertex in bag]
-            if indices and indices != list(range(indices[0], indices[-1] + 1)):
+            if not _is_contiguous(occurrences[vertex]):
                 raise DecompositionError(f"occurrences of {vertex!r} are not contiguous")
 
     def to_tree_decomposition(self) -> TreeDecomposition:
@@ -84,20 +109,22 @@ def path_decomposition_from_order(graph: Graph, order: Sequence[Vertex]) -> Path
 
     Bag ``i`` contains vertex ``order[i]`` together with every earlier vertex
     that still has a neighbor at position >= i (the "active" vertices).  Its
-    width is the vertex separation number of the order.
+    width is the vertex separation number of the order.  Each vertex is
+    filed under the last position that needs it and expires from the active
+    set there, so the construction costs O(m) plus the size of the bags.
     """
     if set(order) != set(graph.vertices):
         raise DecompositionError("order must contain every vertex exactly once")
     position = {v: i for i, v in enumerate(order)}
-    last_needed = {
-        v: max([position[v]] + [position[u] for u in graph.neighbors(v)]) for v in order
-    }
+    expiring: list[list[Vertex]] = [[] for _ in order]
+    for v, i in position.items():
+        expiring[max([i] + [position[u] for u in graph.neighbors(v)])].append(v)
     bags: list[frozenset] = []
     active: set[Vertex] = set()
     for i, v in enumerate(order):
         active.add(v)
         bags.append(frozenset(active))
-        active = {u for u in active if last_needed[u] > i}
+        active.difference_update(expiring[i])
     decomposition = PathDecomposition(bags)
     decomposition.validate(graph)
     return decomposition
@@ -107,27 +134,57 @@ def greedy_path_order(graph: Graph) -> list[Vertex]:
     """A greedy linear order minimizing the number of active vertices.
 
     At each step, pick the vertex that minimizes the resulting active-set
-    size, breaking ties by number of not-yet-placed neighbors.
+    size, breaking ties by number of not-yet-placed neighbors, then by
+    stable key.  With ``active`` the placed vertices that still have an
+    unplaced neighbor, that size is ``|active| + [v has an unplaced
+    neighbor] - #{active neighbors of v whose last unplaced neighbor is v}``,
+    so placing ``p`` changes the key only of ``p``'s unplaced neighbors and
+    of the one unplaced neighbor left to an active vertex.  Those are pushed
+    again on a heap of dense ids (stable-key order, so the seed's tie-break
+    is an integer comparison); stale entries are discarded on pop.  Total
+    cost O(m log n).
     """
-    remaining = set(graph.vertices)
-    placed: list[Vertex] = []
-    active: set[Vertex] = set()
-    while remaining:
-        def cost(v: Vertex) -> tuple[int, int, tuple]:
-            new_active = (active | {v})
-            new_active = {
-                u
-                for u in new_active
-                if any(w in remaining and w != v for w in graph.neighbors(u))
-            }
-            return (len(new_active), len(graph.neighbors(v) & remaining), _stable_key(v))
+    vertices = sorted(graph.vertices, key=_stable_key)
+    index = {v: i for i, v in enumerate(vertices)}
+    adjacency = [[index[u] for u in graph.neighbors(v)] for v in vertices]
+    placed = [False] * len(vertices)
+    unplaced_degree = [len(neighbors) for neighbors in adjacency]
+    # critical[v]: active neighbors of v whose only unplaced neighbor is v.
+    critical = [0] * len(vertices)
 
-        best = min(remaining, key=cost)
-        placed.append(best)
-        remaining.discard(best)
-        active.add(best)
-        active = {u for u in active if graph.neighbors(u) & remaining}
-    return placed
+    def score(v: int) -> tuple[int, int, int]:
+        degree = unplaced_degree[v]
+        return ((degree > 0) - critical[v], degree, v)
+
+    def last_unplaced_neighbor(u: int) -> int:
+        return next(w for w in adjacency[u] if not placed[w])
+
+    heap = [score(v) for v in range(len(vertices))]
+    heapq.heapify(heap)
+    order: list[Vertex] = []
+    while heap:
+        entry = heapq.heappop(heap)
+        p = entry[2]
+        if placed[p] or entry != score(p):
+            continue
+        placed[p] = True
+        order.append(vertices[p])
+        touched: list[int] = []
+        # Active vertices (p included) left with one unplaced neighbor.
+        lone = [p] if unplaced_degree[p] == 1 else []
+        for w in adjacency[p]:
+            unplaced_degree[w] -= 1
+            if not placed[w]:
+                touched.append(w)
+            elif unplaced_degree[w] == 1:
+                lone.append(w)
+        for u in lone:
+            v = last_unplaced_neighbor(u)
+            critical[v] += 1
+            touched.append(v)
+        for v in touched:
+            heapq.heappush(heap, score(v))
+    return order
 
 
 def path_decomposition(graph: Graph, exact: bool = False) -> PathDecomposition:
@@ -198,18 +255,31 @@ def path_decomposition_from_tree(decomposition: TreeDecomposition) -> PathDecomp
     """
     order = decomposition.topological_order()
     bags = [decomposition.bags[node] for node in order]
-    # Fix contiguity: for each vertex, fill the gap between its first and last occurrence.
-    first: dict[Any, int] = {}
+    # Fix contiguity: every vertex stays open from its first to its last
+    # occurrence, so each bag is the set of vertices open at its index (a
+    # superset of the bag itself).
+    opening: list[list[Any]] = [[] for _ in bags]
+    closing: list[list[Any]] = [[] for _ in bags]
     last: dict[Any, int] = {}
     for i, bag in enumerate(bags):
         for vertex in bag:
-            first.setdefault(vertex, i)
+            if vertex not in last:
+                opening[i].append(vertex)
             last[vertex] = i
+    for vertex, i in last.items():
+        closing[i].append(vertex)
     fixed = []
-    for i, bag in enumerate(bags):
-        extra = {v for v in first if first[v] <= i <= last[v]}
-        fixed.append(frozenset(bag | extra))
+    open_vertices: set[Any] = set()
+    for i in range(len(bags)):
+        open_vertices.update(opening[i])
+        fixed.append(frozenset(open_vertices))
+        open_vertices.difference_update(closing[i])
     return PathDecomposition(fixed)
+
+
+def _is_contiguous(indices: list[int]) -> bool:
+    """Whether strictly increasing bag indices form one unbroken run."""
+    return indices[-1] - indices[0] + 1 == len(indices)
 
 
 def _stable_key(vertex: Any) -> tuple[str, str]:

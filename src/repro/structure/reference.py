@@ -15,6 +15,15 @@ two purposes:
 * **benchmarking**: ``benchmarks/bench_structure.py`` measures the fused
   front-end against this seed path and gates CI on a >= 3x speedup.
 
+The path front-end's seed algorithms live here too: the greedy
+vertex-separation order that re-scores every remaining vertex at every step,
+the order-to-bags construction that rebuilds the active set at every step,
+the tree flattening that rescans every vertex per bag, and the validation
+that rescans every bag per vertex and per edge.
+``tests/test_path_decomposition.py`` checks that the indexed versions in
+:mod:`repro.structure.path_decomposition` return exactly the seed orders and
+bags, and raise exactly the seed's validation errors.
+
 Everything here intentionally inherits the seed's complexity: min-fill
 recomputes every fill count from scratch on every elimination step, and
 ``best_heuristic_ordering_seed`` re-runs :func:`ordering_width_seed` over
@@ -27,14 +36,19 @@ from typing import Sequence
 
 from repro.errors import DecompositionError
 from repro.structure.graph import Graph, Vertex
+from repro.structure.path_decomposition import PathDecomposition
 from repro.structure.tree_decomposition import BagId, TreeDecomposition
 
 __all__ = [
     "best_heuristic_ordering_seed",
     "decomposition_from_ordering_seed",
+    "greedy_path_order_seed",
     "min_degree_ordering_seed",
     "min_fill_ordering_seed",
     "ordering_width_seed",
+    "path_decomposition_from_order_seed",
+    "path_decomposition_from_tree_seed",
+    "validate_path_decomposition_seed",
 ]
 
 
@@ -138,6 +152,84 @@ def decomposition_from_ordering_seed(
     decomposition = TreeDecomposition(bags=bags, children=children, root=root)
     decomposition.validate(graph)
     return decomposition
+
+
+def greedy_path_order_seed(graph: Graph) -> list[Vertex]:
+    """The seed vertex-separation order: every remaining vertex re-scored
+    from scratch at every step (quadratic and worse)."""
+    remaining = set(graph.vertices)
+    placed: list[Vertex] = []
+    active: set[Vertex] = set()
+    while remaining:
+        def cost(v: Vertex) -> tuple[int, int, tuple]:
+            new_active = (active | {v})
+            new_active = {
+                u
+                for u in new_active
+                if any(w in remaining and w != v for w in graph.neighbors(u))
+            }
+            return (len(new_active), len(graph.neighbors(v) & remaining), _stable_key(v))
+
+        best = min(remaining, key=cost)
+        placed.append(best)
+        remaining.discard(best)
+        active.add(best)
+        active = {u for u in active if graph.neighbors(u) & remaining}
+    return placed
+
+
+def path_decomposition_from_order_seed(graph: Graph, order: Sequence[Vertex]) -> PathDecomposition:
+    """The seed order-to-bags construction: the active set is rebuilt by a
+    filter over all active vertices at every step."""
+    if set(order) != set(graph.vertices):
+        raise DecompositionError("order must contain every vertex exactly once")
+    position = {v: i for i, v in enumerate(order)}
+    last_needed = {
+        v: max([position[v]] + [position[u] for u in graph.neighbors(v)]) for v in order
+    }
+    bags: list[frozenset] = []
+    active: set[Vertex] = set()
+    for i, v in enumerate(order):
+        active.add(v)
+        bags.append(frozenset(active))
+        active = {u for u in active if last_needed[u] > i}
+    decomposition = PathDecomposition(bags)
+    validate_path_decomposition_seed(decomposition, graph)
+    return decomposition
+
+
+def path_decomposition_from_tree_seed(decomposition: TreeDecomposition) -> PathDecomposition:
+    """The seed tree flattening: every vertex's interval tested per bag."""
+    order = decomposition.topological_order()
+    bags = [decomposition.bags[node] for node in order]
+    first: dict[Vertex, int] = {}
+    last: dict[Vertex, int] = {}
+    for i, bag in enumerate(bags):
+        for vertex in bag:
+            first.setdefault(vertex, i)
+            last[vertex] = i
+    fixed = []
+    for i, bag in enumerate(bags):
+        extra = {v for v in first if first[v] <= i <= last[v]}
+        fixed.append(frozenset(bag | extra))
+    return PathDecomposition(fixed)
+
+
+def validate_path_decomposition_seed(decomposition: PathDecomposition, graph: Graph) -> None:
+    """The seed validation: every bag rescanned per edge and per vertex."""
+    bags = decomposition.bags
+    covered = set()
+    for bag in bags:
+        covered |= bag
+    if set(graph.vertices) - covered:
+        raise DecompositionError("path decomposition does not cover all vertices")
+    for u, v in graph.edges():
+        if not any(u in bag and v in bag for bag in bags):
+            raise DecompositionError(f"edge ({u!r}, {v!r}) not covered")
+    for vertex in graph.vertices:
+        indices = [i for i, bag in enumerate(bags) if vertex in bag]
+        if indices and indices != list(range(indices[0], indices[-1] + 1)):
+            raise DecompositionError(f"occurrences of {vertex!r} are not contiguous")
 
 
 def _stable_key(vertex: Vertex) -> tuple[str, str]:
